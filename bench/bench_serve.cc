@@ -9,6 +9,9 @@
 //     counts, element counts and exact wire bytes are machine-independent;
 //     the smoke rows are the committed baseline for the optrep_report gate
 //     (growing bytes_tx/bytes_rx = wire bloat, fails the "bytes" rule).
+//     SYNCB cannot reconcile ‖, so the BRV row runs a single-writer mix:
+//     empty server replicas and pushes only, which keeps every replica ≼ the
+//     one client's vector. Every row must move elements (transfers > 0).
 //   * the serving SLO gate row — measured wall-clock throughput and 1→4
 //     worker scaling, reduced to two deliberately lenient booleans:
 //     throughput_ok (>= 1000 sessions/s over loopback: an order of magnitude
@@ -90,7 +93,9 @@ int main(int argc, char** argv) {
               "bytes_tx", "bytes_rx");
   print_rule(88);
   for (const auto& k : kKinds) {
-    auto sv = start_server(k.kind, /*workers=*/1, /*replicas=*/8, /*prefill=*/6);
+    const bool single_writer = k.kind == vv::VectorKind::kBrv;
+    auto sv = start_server(k.kind, /*workers=*/1, /*replicas=*/8,
+                           /*prefill=*/single_writer ? 0 : 6);
     net::LoadConfig cfg;
     cfg.kind = k.kind;
     cfg.clients = 1;
@@ -98,9 +103,17 @@ int main(int argc, char** argv) {
     cfg.replicas = 8;
     cfg.stop_and_wait = true;
     cfg.seed = 5;
+    if (single_writer) {
+      cfg.compare_frac = 0;
+      cfg.pull_frac = 0;
+    }
     const net::LoadReport r = run(*sv, cfg);
     const net::ServerStats st = sv->stats();
     sv->stop();
+    if (r.transfers == 0) {
+      std::fprintf(stderr, "FAIL: bench_serve %s row moved no elements\n", k.name);
+      return 1;
+    }
 
     std::printf("%-5s | %-9llu %-9llu %-6llu %-6llu %-6llu %-10llu %-8llu %-8llu %-8llu\n",
                 k.name, (unsigned long long)r.compare_sessions,

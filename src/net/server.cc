@@ -9,11 +9,7 @@
 
 #include "common/check.h"
 #include "net/epoll_loop.h"
-#include "net/session_util.h"
-#include "net/wire_stream.h"
 #include "rt/thread_pool.h"
-#include "vv/order.h"
-#include "vv/protocol/compare_core.h"
 
 namespace optrep::net {
 
@@ -42,52 +38,24 @@ struct Server::AtomicStats {
   std::atomic<std::uint64_t> backpressure_pauses{0};
 };
 
-// One connection, owned by exactly one worker. The session fields are live
-// between HELLO and END/DONE; `work` is the session-private replica clone
-// that makes aborts free (drop it) and commits transactional (replay it).
+// One connection, owned by exactly one worker. `s` runs its sessions one
+// after another on the session-private replica clone that makes aborts free
+// (drop it) and commits transactional (replay it).
 struct Server::Conn {
+  explicit Conn(std::uint32_t burst) : s(WireSession::Role::kServer, burst) {}
+
   Fd fd;
   std::uint64_t token{0};
 
   StreamDecoder in;
-  std::vector<std::uint8_t> out;
-  std::size_t out_pos{0};
-  vv::FrameDeltaState out_chain{};
+  WireSession s;
+  WireSession::Params hello;  // the current session's HELLO
   bool want_write{false};
   bool eof{false};
   bool close_after_flush{false};  // rejected HELLO: flush the status, drop
-
-  enum class State : std::uint8_t {
-    kPreamble,  // awaiting the connection magic
-    kIdle,      // between sessions, awaiting HELLO
-    kParked,    // push HELLO waiting on the replica's write ticket
-    kCompare,   // ACCEPT+probe sent; awaiting peer probe/verdict
-    kRecv,      // push transfer: feeding the receiver core
-    kSend,      // pull transfer: pumping the sender core
-    kAwaitEnd,  // no transfer on our receiving side; awaiting peer END
-    kAwaitDone, // our END sent; awaiting peer DONE
-  };
-  State state{State::kPreamble};
-
-  SessionKind kind{SessionKind::kCompare};
-  bool pull{false};
-  bool saw{false};  // stop-and-wait flow control
-  std::uint32_t replica{0};
+  bool greeted{false};            // the connection magic arrived
+  bool parked{false};             // push HELLO waiting on the write ticket
   bool owns_write{false};
-  bool transfer{false};
-  bool initially_concurrent{false};
-  bool end_sent{false};
-  bool pump_pending{false};
-  DoneStatus pending_done{DoneStatus::kNoop};
-
-  vv::RotatingVector work;
-  std::optional<vv::protocol::CompareCore> cmp;
-  bool probe_seen{false};
-  std::optional<vv::protocol::ElementSenderCore> snd;
-  std::optional<AnyReceiver> rx;
-  vv::protocol::Actions acts;  // reused across dispatches
-
-  std::size_t out_size() const { return out.size() - out_pos; }
 };
 
 struct Server::Worker {
@@ -247,7 +215,7 @@ void Server::accept_ready() {
 }
 
 void Server::adopt_conn(Worker& wk, int fd) {
-  auto c = std::make_unique<Conn>();
+  auto c = std::make_unique<Conn>(cfg_.burst);
   c->fd = Fd(fd);
   c->token = wk.next_token++;
   if (!wk.loop.add(fd, c->token, /*want_read=*/true, /*want_write=*/false)) {
@@ -269,15 +237,16 @@ void Server::post_resume(ReplicaStore::Waiter next, std::uint32_t replica) {
 
 void Server::resume_parked(Worker& wk, std::uint64_t token, std::uint32_t replica) {
   auto it = wk.conns.find(token);
-  if (it == wk.conns.end() || it->second->state != Conn::State::kParked) {
+  if (it == wk.conns.end() || !it->second->parked) {
     // The waiter died after ownership transfer (cancel_wait returned false at
     // close): we hold the ticket on its behalf — pass it on.
     if (const auto next = store_.release_write(replica)) post_resume(*next, replica);
     return;
   }
   Conn& c = *it->second;
+  c.parked = false;
   c.owns_write = true;
-  begin_session(wk, c);
+  begin_session(c);
   if (!dispatch_items(wk, c)) return;  // the HELLO-pipelined probe is queued
   finish_io(wk, c);
 }
@@ -314,10 +283,10 @@ bool Server::on_writable(Worker& wk, Conn& c) { return finish_io(wk, c); }
 
 // Flush the write buffer to EAGAIN. False on a hard socket error.
 bool Server::flush_out(Conn& c) {
-  while (c.out_size() > 0) {
-    const ssize_t n = ::write(c.fd.get(), c.out.data() + c.out_pos, c.out_size());
+  for (auto pending = c.s.sendable(); !pending.empty(); pending = c.s.sendable()) {
+    const ssize_t n = ::write(c.fd.get(), pending.data(), pending.size());
     if (n > 0) {
-      c.out_pos += static_cast<std::size_t>(n);
+      c.s.consume(static_cast<std::size_t>(n));
       stats_->bytes_tx.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
       continue;
     }
@@ -325,8 +294,6 @@ bool Server::flush_out(Conn& c) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     return false;
   }
-  c.out.clear();
-  c.out_pos = 0;
   return true;
 }
 
@@ -334,23 +301,20 @@ bool Server::flush_out(Conn& c) {
 // epoll write interest to match the remaining buffer.
 bool Server::finish_io(Worker& wk, Conn& c) {
   for (;;) {
-    if (c.state == Conn::State::kSend && c.pump_pending &&
-        c.out_size() < cfg_.write_watermark) {
-      pump_sender(c);
+    if (c.s.wants_pump() && c.s.pump()) {
+      stats_->backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
     }
     if (!flush_out(c)) {
       close_conn(wk, c);
       return false;
     }
-    const bool can_pump = c.state == Conn::State::kSend && c.pump_pending &&
-                          c.out_size() < cfg_.write_watermark;
-    if (!can_pump) break;
+    if (!c.s.wants_pump()) break;
   }
-  if (c.close_after_flush && c.out_size() == 0) {
+  const bool ww = c.s.buffered() > 0;
+  if (c.close_after_flush && !ww) {
     close_conn(wk, c);
     return false;
   }
-  const bool ww = c.out_size() > 0;
   if (ww != c.want_write) {
     c.want_write = ww;
     wk.loop.mod(c.fd.get(), c.token, /*want_read=*/true, ww);
@@ -358,275 +322,123 @@ bool Server::finish_io(Worker& wk, Conn& c) {
   return true;
 }
 
-void Server::pump_sender(Conn& c) {
-  while (c.pump_pending && c.snd && !c.snd->done()) {
-    if (c.out_size() >= cfg_.write_watermark) {
-      stats_->backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-      return;  // resume from on_writable once the buffer drains
-    }
-    c.pump_pending = false;
-    step_sender(c, vv::protocol::Event::link_free());
-  }
-  if (c.snd && c.snd->done()) c.pump_pending = false;
-}
-
-void Server::step_sender(Conn& c, const vv::protocol::Event& ev) {
-  c.acts.clear();
-  c.snd->step(ev, c.acts);
-  ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-  sink.apply(c.acts);
-  c.pump_pending = c.pump_pending || sink.pump_requested;
-  if (c.snd->done() && !c.end_sent) {
-    put_end(c.out);
-    c.end_sent = true;
-    c.pump_pending = false;
-    c.state = Conn::State::kAwaitDone;
-  }
-}
-
-// ---- session state machine -------------------------------------------------
+// ---- session dispatch ------------------------------------------------------
 
 bool Server::dispatch_items(Worker& wk, Conn& c) {
   using IT = StreamDecoder::ItemType;
   for (;;) {
-    if (c.state == Conn::State::kParked || c.close_after_flush) return true;
+    if (c.parked || c.close_after_flush) return true;
     const StreamDecoder::Item item = c.in.next();
-    switch (item.type) {
-      case IT::kNeedMore:
-        return true;
-      case IT::kError:
-        stats_->decode_errors.fetch_add(1, std::memory_order_relaxed);
+    if (item.type == IT::kNeedMore) return true;
+    if (item.type == IT::kMagic && !c.greeted) {
+      c.greeted = true;
+      continue;
+    }
+    if (item.type == IT::kHello && c.greeted && !c.s.active()) {
+      handle_hello(wk, c, item);
+      continue;
+    }
+    if (item.type == IT::kError) {
+      stats_->decode_errors.fetch_add(1, std::memory_order_relaxed);
+    }
+    switch (c.s.on_item(item)) {
+      case WireSession::Outcome::kContinue:
+        break;
+      case WireSession::Outcome::kBreach:
         close_conn(wk, c);
         return false;
-      case IT::kMagic:
-        if (c.state != Conn::State::kPreamble) {
-          close_conn(wk, c);
-          return false;
+      case WireSession::Outcome::kCommit:
+        // The commit point: the only write a session makes to its replica.
+        if (store_.commit(c.hello.replica, c.s.work())) {
+          stats_->commits.fetch_add(1, std::memory_order_relaxed);
+          c.s.commit(DoneStatus::kCommitted);
+        } else {
+          stats_->capacity_rejects.fetch_add(1, std::memory_order_relaxed);
+          c.s.commit(DoneStatus::kCapacity);
         }
-        c.state = Conn::State::kIdle;
-        break;
-      case IT::kHello:
-        if (c.state != Conn::State::kIdle) {
-          close_conn(wk, c);
-          return false;
-        }
-        handle_hello(wk, c, item);
-        break;
-      case IT::kMsg:
-        handle_msg(c, item.msg);
-        break;
-      case IT::kEnd:
-        if (!handle_end(wk, c)) return false;
-        break;
-      case IT::kDone:
-        if (c.state != Conn::State::kAwaitDone) {
-          close_conn(wk, c);
-          return false;
-        }
-        if (item.status == static_cast<std::uint8_t>(DoneStatus::kNoop)) {
-          stats_->noops.fetch_add(1, std::memory_order_relaxed);
-        }
+        [[fallthrough]];
+      case WireSession::Outcome::kDone:
         end_session(c);
         break;
-      case IT::kAccept:  // a server never receives ACCEPT
-        close_conn(wk, c);
-        return false;
     }
   }
 }
 
 void Server::handle_hello(Worker& wk, Conn& c, const StreamDecoder::Item& item) {
   stats_->hellos.fetch_add(1, std::memory_order_relaxed);
-  c.kind = item.kind;
-  c.pull = (item.flags & kHelloFlagPull) != 0;
-  c.saw = (item.flags & kHelloFlagStopAndWait) != 0;
-  c.replica = item.replica;
+  c.hello = WireSession::Params{
+      .kind = item.kind,
+      .pull = (item.flags & kHelloFlagPull) != 0,
+      .stop_and_wait = (item.flags & kHelloFlagStopAndWait) != 0,
+      .replica = item.replica,
+  };
 
   AcceptStatus st = AcceptStatus::kOk;
   if (stopping_.load(std::memory_order_acquire)) {
     st = AcceptStatus::kShutdown;
-  } else if (c.replica >= store_.replicas()) {
+  } else if (c.hello.replica >= store_.replicas()) {
     st = AcceptStatus::kBadReplica;
-  } else if (c.kind != SessionKind::kCompare &&
-             vector_kind_of(c.kind) != store_.kind()) {
+  } else if (c.hello.kind != SessionKind::kCompare &&
+             vector_kind_of(c.hello.kind) != store_.kind()) {
     st = AcceptStatus::kBadKind;
   }
   if (st != AcceptStatus::kOk) {
     stats_->bad_hellos.fetch_add(1, std::memory_order_relaxed);
-    put_accept(c.out, st);
+    c.s.reject(st);
     c.close_after_flush = true;
     return;
   }
 
   // Push sessions own the replica's write ticket from before the snapshot to
   // after the commit — whole-session serialization (replica_store.h).
-  const bool is_push = c.kind != SessionKind::kCompare && !c.pull;
+  const bool is_push = c.hello.kind != SessionKind::kCompare && !c.hello.pull;
   if (is_push &&
-      !store_.acquire_write(c.replica, ReplicaStore::Waiter{wk.index, c.token})) {
+      !store_.acquire_write(c.hello.replica, ReplicaStore::Waiter{wk.index, c.token})) {
     stats_->parked.fetch_add(1, std::memory_order_relaxed);
-    c.state = Conn::State::kParked;  // ACCEPT deferred to resume_parked
+    c.parked = true;  // ACCEPT deferred to resume_parked
     return;
   }
   c.owns_write = is_push;
-  begin_session(wk, c);
+  begin_session(c);
 }
 
-void Server::begin_session(Worker&, Conn& c) {
-  store_.snapshot(c.replica, &c.work);
-  put_accept(c.out, AcceptStatus::kOk);
-  c.out_chain = {};  // session boundary: the peer's decoder resets at ACCEPT
-  c.transfer = false;
-  c.initially_concurrent = false;
-  c.end_sent = false;
-  c.pump_pending = false;
-  c.probe_seen = false;
-  c.rx.reset();
-  c.snd.reset();
-  c.cmp.emplace(&c.work);
-  c.acts.clear();
-  c.cmp->step(vv::protocol::Event::start(), c.acts);  // our COMPARE probe
-  ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-  sink.apply(c.acts);
-  c.state = Conn::State::kCompare;
-}
-
-void Server::handle_msg(Conn& c, const vv::VvMsg& msg) {
-  switch (c.state) {
-    case Conn::State::kCompare: {
-      c.acts.clear();
-      c.cmp->step(vv::protocol::Event::msg_arrival(msg), c.acts);
-      ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-      sink.apply(c.acts);
-      if (msg.kind == vv::VvMsg::Kind::kProbe) c.probe_seen = true;
-      // Complete = we answered their probe AND hold their verdict on ours.
-      if (c.probe_seen && c.cmp->complete()) compare_done(c);
-      return;
-    }
-    case Conn::State::kRecv: {
-      c.acts.clear();
-      c.rx->step(vv::protocol::Event::msg_arrival(msg), c.acts);
-      ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-      sink.apply(c.acts);  // stop-and-wait ACKs / SYNCS SKIPs flow back
-      return;
-    }
-    case Conn::State::kSend:
-      step_sender(c, vv::protocol::Event::msg_arrival(msg));
-      return;
-    default:
-      return;  // stray message: tolerated (protocol robustness contract)
-  }
-}
-
-void Server::compare_done(Conn& c) {
-  // Our verdict: this replica's vector vs the client's (Ordering::kBefore =
-  // the client knows strictly more).
-  const vv::Ordering rel = c.cmp->decide();
-  if (c.kind == SessionKind::kCompare) {
-    c.pending_done = DoneStatus::kNoop;
-    c.state = Conn::State::kAwaitEnd;
-    return;
-  }
-  const vv::VectorKind vk = vector_kind_of(c.kind);
-  if (!c.pull) {
-    // Push: we are the data receiver, so our relation IS the receiver's.
-    if (transfer_needed(rel, vk)) {
-      c.transfer = true;
-      c.initially_concurrent = rel == vv::Ordering::kConcurrent;
-      c.rx.emplace(vk, c.saw, &c.work, c.initially_concurrent);
-      c.acts.clear();
-      c.rx->step(vv::protocol::Event::start(), c.acts);
-      ActionSink sink{.out = &c.out, .chain = &c.out_chain};
-      sink.apply(c.acts);
-      c.state = Conn::State::kRecv;
-    } else {
-      c.pending_done = DoneStatus::kNoop;  // =, covered, or BRV ‖ degrade
-      c.state = Conn::State::kAwaitEnd;
-    }
-    return;
-  }
-  // Pull: the client receives; its relation is the flip of ours.
-  if (transfer_needed(vv::flip(rel), vk)) {
-    c.transfer = true;
-    c.snd.emplace(sender_config(vk, c.saw, cfg_.burst), &c.work);
-    c.state = Conn::State::kSend;
-    step_sender(c, vv::protocol::Event::start());
-  } else {
-    put_end(c.out);
-    c.end_sent = true;
-    c.state = Conn::State::kAwaitDone;
-  }
-}
-
-bool Server::handle_end(Worker& wk, Conn& c) {
-  switch (c.state) {
-    case Conn::State::kAwaitEnd:
-      put_done(c.out, c.pending_done);
-      if (c.pending_done == DoneStatus::kNoop) {
-        stats_->noops.fetch_add(1, std::memory_order_relaxed);
-      }
-      release_ticket(c);
-      end_session(c);
-      return true;
-    case Conn::State::kRecv: {
-      // The commit point: everything before this is a receiver no-op.
-      if (c.initially_concurrent) c.work.record_update(store_.own_site(c.replica));
-      DoneStatus ds;
-      if (store_.commit(c.replica, c.work)) {
-        ds = DoneStatus::kCommitted;
-        stats_->commits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ds = DoneStatus::kCapacity;
-        stats_->capacity_rejects.fetch_add(1, std::memory_order_relaxed);
-      }
-      put_done(c.out, ds);
-      release_ticket(c);
-      end_session(c);
-      return true;
-    }
-    default:
-      close_conn(wk, c);  // END outside a session half is a protocol breach
-      return false;
-  }
+void Server::begin_session(Conn& c) {
+  c.hello.own_site = store_.own_site(c.hello.replica);
+  store_.snapshot(c.hello.replica, &c.s.work());
+  c.s.begin(c.hello);
 }
 
 void Server::end_session(Conn& c) {
   stats_->sessions_completed.fetch_add(1, std::memory_order_relaxed);
-  switch (c.kind) {
-    case SessionKind::kCompare:
-      stats_->compare_sessions.fetch_add(1, std::memory_order_relaxed);
-      break;
-    default:
-      (c.pull ? stats_->pull_sessions : stats_->push_sessions)
-          .fetch_add(1, std::memory_order_relaxed);
-      break;
+  if (c.hello.kind == SessionKind::kCompare) {
+    stats_->compare_sessions.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    (c.hello.pull ? stats_->pull_sessions : stats_->push_sessions)
+        .fetch_add(1, std::memory_order_relaxed);
   }
-  c.state = Conn::State::kIdle;
-  c.cmp.reset();
-  c.rx.reset();
-  c.snd.reset();
-  c.owns_write = false;
-  c.transfer = false;
-  c.end_sent = false;
-  c.pump_pending = false;
+  if (c.s.done() == DoneStatus::kNoop) {
+    stats_->noops.fetch_add(1, std::memory_order_relaxed);
+  }
+  release_ticket(c);
 }
 
 void Server::release_ticket(Conn& c) {
   if (!c.owns_write) return;
   c.owns_write = false;
-  if (const auto next = store_.release_write(c.replica)) post_resume(*next, c.replica);
+  if (const auto next = store_.release_write(c.hello.replica)) {
+    post_resume(*next, c.hello.replica);
+  }
 }
 
 void Server::close_conn(Worker& wk, Conn& c) {
   stats_->conns_closed.fetch_add(1, std::memory_order_relaxed);
-  const bool mid_session =
-      c.state != Conn::State::kPreamble && c.state != Conn::State::kIdle;
-  if (mid_session) {
+  if (c.parked || c.s.active()) {
     stats_->sessions_aborted.fetch_add(1, std::memory_order_relaxed);
-    if (c.state == Conn::State::kParked) {
+    if (c.parked) {
       // cancel_wait false ⇒ a release already transferred the ticket to this
       // (now dead) waiter; its in-flight resume finds the token gone and
       // re-releases on our behalf (resume_parked).
-      store_.cancel_wait(c.replica, ReplicaStore::Waiter{wk.index, c.token});
+      store_.cancel_wait(c.hello.replica, ReplicaStore::Waiter{wk.index, c.token});
     } else {
       release_ticket(c);
     }

@@ -119,30 +119,4 @@ StreamDecoder::Item StreamDecoder::pull_control() {
   }
 }
 
-void ActionSink::apply(const std::vector<vv::protocol::Action>& acts) {
-  using A = vv::protocol::Action::Type;
-  for (const auto& a : acts) {
-    switch (a.type) {
-      case A::kSend:
-      case A::kSendRevocable:
-        vv::frame_encode_msg(*out, a.msg, chain);
-        ++sends;
-        break;
-      case A::kPumpWhenFree:
-        pump_requested = true;
-        break;
-      case A::kFinished:
-        finished = true;
-        break;
-      case A::kRevokeTail:
-      case A::kCaptureResume:
-      case A::kRepumpAtResume:
-      case A::kTraceApplied:
-      case A::kTraceRedundant:
-      case A::kTraceStraggler:
-        break;  // speculation bookkeeping / tracing: no wire effect over TCP
-    }
-  }
-}
-
 }  // namespace optrep::net

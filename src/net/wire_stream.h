@@ -34,8 +34,6 @@
 #include <vector>
 
 #include "vv/frame_codec.h"
-#include "vv/order.h"
-#include "vv/protocol/core.h"
 #include "vv/rotating_vector.h"
 #include "vv/wire.h"
 
@@ -97,16 +95,6 @@ constexpr SessionKind session_kind_of(vv::VectorKind k) {
     case vv::VectorKind::kSrv: return SessionKind::kSyncS;
   }
   return SessionKind::kSyncB;
-}
-
-// Does the element transfer run at all? `receiver_rel` is the receiver's
-// COMPARE verdict (receiver vector vs sender vector): a strict predecessor
-// always syncs; concurrent replicas sync under CRV/SRV, while SYNCB cannot
-// reconcile ‖ and the session degrades to a no-op (§2.2 / sync_with_recovery
-// BRV note). kEqual / kAfter mean the receiver already covers the sender.
-constexpr bool transfer_needed(vv::Ordering receiver_rel, vv::VectorKind kind) {
-  return receiver_rel == vv::Ordering::kBefore ||
-         (receiver_rel == vv::Ordering::kConcurrent && kind != vv::VectorKind::kBrv);
 }
 
 // ---- encode helpers --------------------------------------------------------
@@ -172,22 +160,6 @@ class StreamDecoder {
   vv::FrameDeltaState chain_{};
   std::deque<vv::VvMsg> msgs_;  // decoded ahead by frame_decode_stream
   bool dead_{false};
-};
-
-// ---- outgoing action sink --------------------------------------------------
-
-// Translates one protocol-core action batch into stream bytes. Over TCP
-// nothing is revocable (TailViews are always zero), so kSendRevocable is a
-// plain send and the revoke/re-pump speculation actions are no-ops; what
-// remains is sends, the pump-continuation request, and the finish marker.
-struct ActionSink {
-  std::vector<std::uint8_t>* out{nullptr};
-  vv::FrameDeltaState* chain{nullptr};
-  bool pump_requested{false};
-  bool finished{false};
-  std::uint64_t sends{0};
-
-  void apply(const std::vector<vv::protocol::Action>& acts);
 };
 
 }  // namespace optrep::net
