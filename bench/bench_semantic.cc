@@ -48,7 +48,9 @@ SemSample run(double overlap, std::uint32_t key_pool, std::uint64_t seed) {
       } else {
         key = "own:" + std::to_string(s) + ":" + std::to_string(priv[s]++ % 64);
       }
-      sys.put(SiteId{s}, db, key, "v" + std::to_string(step));
+      std::string value = "v";
+      value += std::to_string(step);
+      sys.put(SiteId{s}, db, key, value);
     } else {
       auto p = static_cast<std::uint32_t>(rng.below(kSites));
       if (p == s) p = (p + 1) % kSites;

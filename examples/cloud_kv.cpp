@@ -74,7 +74,10 @@ int main(int argc, char** argv) {
 
   std::printf("== cloud KV store: %u nodes, %u keys, SRV metadata ==\n\n", n, keys);
   for (std::uint32_t k = 0; k < keys; ++k) {
-    c.sys.create_object(SiteId{k % n}, ObjectId{k}, "k" + std::to_string(k) + "=v0");
+    std::string value = "k";
+    value += std::to_string(k);
+    value += "=v0";
+    c.sys.create_object(SiteId{k % n}, ObjectId{k}, value);
   }
   // Seed replicas around the cluster.
   for (int round = 0; round < 6; ++round) {

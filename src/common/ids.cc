@@ -4,7 +4,9 @@ namespace optrep {
 
 std::string site_name(SiteId site) {
   if (site.value < 26) return std::string(1, static_cast<char>('A' + site.value));
-  return "S" + std::to_string(site.value);
+  std::string name = "S";
+  name += std::to_string(site.value);
+  return name;
 }
 
 std::string update_name(UpdateId id) {

@@ -28,7 +28,9 @@ std::string profile_to_json(const Profiler& p) {
     ev.field("depth", s.depth);
     ev.end_object();
     ev.end_object();
-    w.raw("\n" + ev.take());
+    std::string line = "\n";
+    line += ev.take();
+    w.raw(line);
   }
   w.end_array();
   w.field("displayTimeUnit", "ns");

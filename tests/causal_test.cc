@@ -236,7 +236,9 @@ TEST(CausalStateSystem, RetrySpansParentToTheRecoveryRootUnderLoss) {
   const ObjectId obj{1};
   sys.create_object(SiteId{0}, obj, "a");
   for (int i = 0; i < 12; ++i) {
-    sys.update(SiteId{0}, obj, "u" + std::to_string(i));
+    std::string value = "u";
+    value += std::to_string(i);
+    sys.update(SiteId{0}, obj, value);
     sys.sync(SiteId{1}, SiteId{0}, obj);
     sys.sync(SiteId{2}, SiteId{0}, obj);
   }

@@ -153,8 +153,11 @@ TEST(RecordSystem, RandomMixedWorkloadConvergesUnderLww) {
       const auto s = static_cast<std::uint32_t>(rng.below(3));
       if (rng.chance(0.5)) {
         // Small key space → plenty of genuine write-write conflicts.
-        sys.put(SiteId{s}, kDb, "k" + std::to_string(rng.below(4)),
-                "v" + std::to_string(step));
+        std::string key = "k";
+        key += std::to_string(rng.below(4));
+        std::string value = "v";
+        value += std::to_string(step);
+        sys.put(SiteId{s}, kDb, key, value);
       } else {
         auto p = static_cast<std::uint32_t>(rng.below(3));
         if (p == s) p = (p + 1) % 3;

@@ -32,7 +32,11 @@ StateSystem::Config lossy_state_cfg(double drop, std::uint64_t seed) {
 TEST(ReplFaults, StateSyncRetriesAndConverges) {
   StateSystem sys(lossy_state_cfg(0.2, 5));
   sys.create_object(A, kObj, "base");
-  for (int i = 0; i < 6; ++i) sys.update(A, kObj, "v" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) {
+    std::string value = "v";
+    value += std::to_string(i);
+    sys.update(A, kObj, value);
+  }
   const auto out = sys.sync(B, A, kObj);
   ASSERT_EQ(out.action, SyncOutcome::Action::kPulled);
   EXPECT_TRUE(out.report.converged);
@@ -58,7 +62,9 @@ TEST(ReplFaults, FaultTotalsAccumulateAcrossSessions) {
   StateSystem sys(lossy_state_cfg(0.25, 77));
   sys.create_object(A, kObj, "base");
   for (int round = 0; round < 5; ++round) {
-    sys.update(A, kObj, "a" + std::to_string(round));
+    std::string value = "a";
+    value += std::to_string(round);
+    sys.update(A, kObj, value);
     sys.sync(B, A, kObj);
     sys.sync(C, B, kObj);
   }
@@ -78,7 +84,11 @@ TEST(ReplFaults, RecordSyncUnderFaultsMergesOrRollsBack) {
   cfg.net.faults.seed = 3;
   RecordSystem sys(cfg);
   sys.create_object(A, kObj, "k0", "v0");
-  for (int i = 0; i < 5; ++i) sys.put(A, kObj, "k" + std::to_string(i), "vA");
+  for (int i = 0; i < 5; ++i) {
+    std::string key = "k";
+    key += std::to_string(i);
+    sys.put(A, kObj, key, "vA");
+  }
   sys.sync(B, A, kObj);
   sys.put(B, kObj, "kb", "vB");
   sys.put(A, kObj, "ka", "vA2");
