@@ -22,6 +22,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <utility>
@@ -201,6 +202,32 @@ class Mesh {
   // j-th neighbor of s (ascending site order), j < degree(s).
   std::uint32_t neighbor(std::uint32_t s, std::uint32_t j) const {
     return neighbors_[offsets_[s] + j];
+  }
+
+  // Connected components, by one BFS over the CSR. A gossip world on a mesh
+  // with more than one can never converge.
+  std::uint32_t components() const {
+    std::vector<std::uint8_t> seen(n_, 0);
+    std::vector<std::uint32_t> queue;  // every site enters once
+    queue.reserve(n_);
+    std::uint32_t count = 0;
+    for (std::uint32_t root = 0; root < n_; ++root) {
+      if (seen[root]) continue;
+      ++count;
+      seen[root] = 1;
+      queue.push_back(root);
+      for (std::size_t head = queue.size() - 1; head < queue.size(); ++head) {
+        const std::uint32_t s = queue[head];
+        for (std::uint32_t j = offsets_[s]; j < offsets_[s + 1]; ++j) {
+          const std::uint32_t t = neighbors_[j];
+          if (!seen[t]) {
+            seen[t] = 1;
+            queue.push_back(t);
+          }
+        }
+      }
+    }
+    return count;
   }
 
   // CSR footprint (offsets + neighbor arrays).

@@ -78,6 +78,10 @@ expect_rejected("unknown mesh" scenario --sites=16 --mesh=torus)
 expect_rejected("unknown phase" scenario --sites=16 --script=warp:4)
 expect_rejected("--degree must be a positive integer" scenario --sites=16 --degree=0)
 expect_rejected("--writers must be a positive integer" scenario --sites=16 --writers=x)
+# A mesh that falls apart (k=1 small-world at the default --degree) cannot
+# converge and is refused before any round runs.
+expect_rejected("mesh disconnected:" scenario --sites=4096 --algo=srv --writers=16
+                --mesh=small-world --script=converge)
 
 # A valid scenario run converges and exits 0 on every algorithm.
 foreach(algo brv crv srv syncg)

@@ -149,5 +149,47 @@ TEST(MeshBuild, MemoryFootprintIsFlat) {
   EXPECT_LT(m.memory_bytes(), 2u * (10001u + 40000u) * sizeof(std::uint32_t));
 }
 
+// The CLI's default --degree=1 on a small-world mesh: a k=1 lattice is a
+// bare cycle, and 10% rewiring cuts it into pieces.
+TEST(MeshComponents, UnitDegreeSmallWorldIsSplit) {
+  const Mesh m = Mesh::build(MeshKind::kSmallWorld, 4096, 1, 1);
+  EXPECT_GT(m.components(), 1u);
+  EXPECT_FALSE(connected(m));
+  EXPECT_EQ(Mesh::ring(4096, 1).components(), 1u);
+}
+
+// The shapes committed benchmarks run (bench_scenario smoke and full rows at
+// seed 11, the CI mesh sweep at the CLI's seed 1, perfbench's gossip worlds)
+// are each one component.
+TEST(MeshComponents, CommittedBenchShapesAreConnected) {
+  struct Shape {
+    MeshKind kind;
+    std::uint32_t sites, degree;
+    std::uint64_t seed;
+  };
+  std::vector<Shape> shapes;
+  for (const std::uint32_t ring_n : {2048u, 100000u}) {
+    shapes.push_back({MeshKind::kRing, ring_n, 2, 11});
+  }
+  for (const std::uint32_t mesh_n : {1024u, 10000u}) {
+    shapes.push_back({MeshKind::kSmallWorld, mesh_n, 3, 11});
+    shapes.push_back({MeshKind::kScaleFree, mesh_n, 2, 11});
+    shapes.push_back({MeshKind::kGeoClustered, mesh_n, 2, 11});
+    shapes.push_back({MeshKind::kRing, mesh_n, 2, 11});
+  }
+  for (const MeshKind k : {MeshKind::kSmallWorld, MeshKind::kScaleFree,
+                           MeshKind::kGeoClustered}) {
+    shapes.push_back({k, 2048, 3, 1});
+  }
+  for (std::uint64_t world = 404; world < 444; ++world) {  // --seed 101..110, 4 worlds each
+    shapes.push_back({MeshKind::kSmallWorld, 30000, 2, world});
+  }
+  for (const Shape& sh : shapes) {
+    EXPECT_EQ(Mesh::build(sh.kind, sh.sites, sh.degree, sh.seed).components(), 1u)
+        << to_string(sh.kind) << " n=" << sh.sites << " degree=" << sh.degree
+        << " seed=" << sh.seed;
+  }
+}
+
 }  // namespace
 }  // namespace optrep::sim

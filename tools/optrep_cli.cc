@@ -767,6 +767,13 @@ int run_scenario_cmd(const Args& a) {
   cfg.cost = CostModel{.n = a.sites, .m = 1 << 16};
   cfg.extra_writers = flash;
   sim::ScenarioWorld world(cfg);
+  // A split mesh cannot converge: refuse it rather than report a failed run.
+  if (const std::uint32_t parts = world.mesh().components(); parts > 1) {
+    std::string msg = "mesh disconnected: ";
+    msg += std::to_string(parts);
+    msg += " components (raise --degree)";
+    usage(msg.c_str());
+  }
   obs::Timeline timeline;
   const wl::ScenarioStats stats = wl::run_scenario(
       world, phases, a.timeline_out.empty() ? nullptr : &timeline, a.sample_every);
