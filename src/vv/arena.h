@@ -34,6 +34,7 @@
 // surfaced by the scenario engine as rt.arena.* gauges and timeline rows.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -156,22 +157,24 @@ class Column {
   Column(Column&& o) noexcept
       : data_(o.data_), size_(o.size_), cap_(o.cap_), arena_(o.arena_) {
     // The source stays bound to its arena but owns no block (vector-style
-    // moved-from state): FlatSiteIndex::rehash moves the old table out and
-    // re-assigns into the same member.
+    // moved-from state), so it can be refilled from the same backing.
     o.data_ = nullptr;
     o.size_ = 0;
     o.cap_ = 0;
   }
   Column& operator=(Column&& o) noexcept {
     if (this != &o) {
-      release();
-      data_ = o.data_;
+      T* const old = data_;
+      const std::size_t old_cap = cap_;
+      Arena* const old_arena = arena_;
+      publish(o.data_);  // a racing reader never sees null
       size_ = o.size_;
       cap_ = o.cap_;
       arena_ = o.arena_;
       o.data_ = nullptr;
       o.size_ = 0;
       o.cap_ = 0;
+      free_block(old, old_cap, old_arena);
     }
     return *this;
   }
@@ -191,6 +194,12 @@ class Column {
 
   T* data() { return data_; }
   const T* data() const { return data_; }
+  // The block pointer for a reader racing a writer that may replace it
+  // (FlatSiteIndex::find during an arena rehash); pairs with the release
+  // store that swaps a new block in.
+  const T* data_acquire() const {
+    return std::atomic_ref<T*>(const_cast<T*&>(data_)).load(std::memory_order_acquire);
+  }
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   T& back() { return data_[size_ - 1]; }
@@ -200,9 +209,11 @@ class Column {
     if (n > cap_) regrow(n);
   }
 
+  // The cell store is atomic (a plain mov on x86): optimistic readers of a
+  // RotatingVector may still be loading the slot a commit refills.
   void push_back(T v) {
     if (size_ == cap_) regrow(cap_ < 8 ? 8 : cap_ * 2);
-    data_[size_++] = v;
+    std::atomic_ref<T>(data_[size_++]).store(v, std::memory_order_relaxed);
   }
   void pop_back() { --size_; }
 
@@ -245,19 +256,29 @@ class Column {
     // form the compiler's object-size checker can see.
     const std::size_t keep = size_ < new_cap ? size_ : new_cap;
     if (keep > 0) std::memcpy(nd, data_, keep * sizeof(T));
-    release();
-    data_ = nd;
+    T* const old = data_;
+    const std::size_t old_cap = cap_;
+    publish(nd);  // swapped in before the old block goes: never null
     cap_ = new_cap;
+    free_block(old, old_cap, arena_);
   }
 
   void release() {
-    if (data_ == nullptr) return;
-    if (arena_ != nullptr) {
-      arena_->retire(cap_ * sizeof(T));  // stays mapped; see Arena::retire
-    } else {
-      ::operator delete(data_, std::align_val_t{Arena::kAlign});
-    }
+    free_block(data_, cap_, arena_);
     data_ = nullptr;
+  }
+
+  void publish(T* block) {
+    std::atomic_ref<T*>(data_).store(block, std::memory_order_release);
+  }
+
+  static void free_block(T* block, std::size_t cap, Arena* arena) {
+    if (block == nullptr) return;
+    if (arena != nullptr) {
+      arena->retire(cap * sizeof(T));  // stays mapped; see Arena::retire
+    } else {
+      ::operator delete(block, std::align_val_t{Arena::kAlign});
+    }
   }
 
   T* data_{nullptr};

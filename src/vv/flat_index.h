@@ -112,11 +112,17 @@ class FlatSiteIndex {
   // reader racing a writer — which read_validate() then rejects anyway.
   std::uint32_t find(SiteId site) const {
     if (size() == 0) return kNilSlot;
-    std::size_t i = home(site);
-    for (std::size_t probes = 0; probes <= mask_; ++probes, i = (i + 1) & mask_) {
-      const std::uint32_t s = ld(slots_[i]);
+    // shift, mask, slots, keys: the reverse of rehash()'s publication
+    // order, so the probe never indexes past the arrays it loaded.
+    const unsigned shift = ld(shift_);
+    const std::size_t mask = ld(mask_);
+    const std::uint32_t* slots = slots_.data_acquire();
+    const SiteId* keys = keys_.data_acquire();
+    std::size_t i = hash(site, shift);
+    for (std::size_t probes = 0; probes <= mask; ++probes, i = (i + 1) & mask) {
+      const std::uint32_t s = ld(slots[i]);
       if (s == kNilSlot) return kNilSlot;
-      if (ld(keys_[i]) == site) return s;
+      if (ld(keys[i]) == site) return s;
     }
     return kNilSlot;  // torn cluster under a concurrent writer
   }
@@ -237,32 +243,39 @@ class FlatSiteIndex {
   // Multiply-shift (Fibonacci) hash of the 32-bit site id, folded onto the
   // table: the high multiplier bits are the best-mixed, so take them via the
   // shift rather than masking the low ones.
-  std::size_t home(SiteId site) const {
-    return (site.value * 0x9e3779b9u) >> shift_;
+  static std::size_t hash(SiteId site, unsigned shift) {
+    return (site.value * 0x9e3779b9u) >> shift;
   }
+  std::size_t home(SiteId site) const { return hash(site, shift_); }
   std::size_t home_of(std::size_t i) const { return home(ld(keys_[i])); }
 
   void grow() { rehash(capacity() == 0 ? kMinCapacity : capacity() * 2); }
 
   void rehash(std::size_t new_cap) {
-    // The moved-from columns stay bound to the arena (Column move semantics),
-    // so the fresh arrays below are carved from the same backing. The old
-    // arrays die at end of scope: freed when heap-backed (rule 1 applies),
-    // retired-but-mapped when arena-backed.
-    Column<SiteId> old_keys = std::move(keys_);
-    Column<std::uint32_t> old_slots = std::move(slots_);
-    keys_.assign(new_cap, SiteId{});
-    slots_.assign(new_cap, kNilSlot);
-    mask_ = new_cap - 1;
-    shift_ = 32;
-    for (std::size_t c = new_cap; c > 1; c >>= 1) --shift_;
-    for (std::size_t i = 0; i < old_slots.size(); ++i) {
-      if (old_slots[i] == kNilSlot) continue;
-      std::size_t j = home(old_keys[i]);
-      while (slots_[j] != kNilSlot) j = (j + 1) & mask_;
-      keys_[j] = old_keys[i];
-      slots_[j] = old_slots[i];
+    // Fill the new arrays off to the side, then publish them: each array
+    // pointer is replaced in one store (Column's move-assign never passes
+    // through null), then mask_ and shift_ follow with release stores, so a
+    // racing reader pairs a mask only with arrays at least that large. The
+    // old arrays die here: retired-but-mapped when arena-backed, freed when
+    // heap-backed (rule 1 applies).
+    Column<SiteId> keys(keys_.arena());
+    Column<std::uint32_t> slots(slots_.arena());
+    keys.assign(new_cap, SiteId{});
+    slots.assign(new_cap, kNilSlot);
+    const std::size_t mask = new_cap - 1;
+    unsigned shift = 32;
+    for (std::size_t c = new_cap; c > 1; c >>= 1) --shift;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i] == kNilSlot) continue;
+      std::size_t j = hash(keys_[i], shift);
+      while (slots[j] != kNilSlot) j = (j + 1) & mask;
+      keys[j] = keys_[i];
+      slots[j] = slots_[i];
     }
+    keys_ = std::move(keys);
+    slots_ = std::move(slots);
+    st(mask_, mask);
+    st(shift_, shift);
   }
 
   Column<SiteId> keys_;           // valid only where slots_[i] != kNilSlot
