@@ -4,6 +4,8 @@
 // functional tests can miss.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 #include "vv/compare.h"
 #include "vv/session.h"
@@ -16,6 +18,13 @@ struct NetCase {
   sim::NetConfig net;
   const char* name;
 };
+
+// gtest would otherwise list each case with the raw bytes of NetCase, whose
+// padding differs from run to run; print the fields that define the case.
+void PrintTo(const NetCase& c, std::ostream* os) {
+  *os << c.name << " (latency_s=" << c.net.latency_s
+      << ", bandwidth_bits_per_s=" << c.net.bandwidth_bits_per_s << ")";
+}
 
 class Conservation : public ::testing::TestWithParam<NetCase> {};
 
