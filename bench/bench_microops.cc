@@ -24,6 +24,8 @@
 // causal_off_allocs and causal_on_allocs are both gated at 0 (the tracer's
 // ring is sized at construction, so even tracing-on steady state stays off
 // the allocator), and a fixed run pins the optrep.causal/v1 dump shape.
+// The compare_full row pins the exact rotating-vector comparisons
+// (compare_full, same_values) at 0 allocations as well.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -230,6 +232,36 @@ std::uint64_t causal_session_allocs(obs::CausalTracer* causal) {
   a.reserve(kSites);
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   benchmark::DoNotOptimize(vv::sync_rotating(loop, a, b, opt));
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+// Heap allocations performed by the exact rotating-vector comparisons — the
+// scenario engine's exchange decision (compare_full, all four outcomes) and
+// StateSystem::replicas_consistent's value equality — on reserved vectors.
+// Both walk the vectors in place, so the committed baseline is 0 and the
+// "allocs" gate rule fails the report on any increase.
+std::uint64_t compare_full_allocs() {
+  constexpr std::uint32_t kSites = 24;
+  auto make = [] {
+    vv::RotatingVector v;
+    v.reserve(kSites);
+    for (std::uint32_t i = 0; i < kSites; ++i) v.record_update(SiteId{i});
+    return v;
+  };
+  const vv::RotatingVector base = make();
+  const vv::RotatingVector equal = make();
+  vv::RotatingVector ahead = make();
+  ahead.record_update(SiteId{3});
+  vv::RotatingVector other = make();
+  other.record_update(SiteId{5});
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  benchmark::DoNotOptimize(vv::compare_full(base, equal));
+  benchmark::DoNotOptimize(vv::compare_full(base, ahead));
+  benchmark::DoNotOptimize(vv::compare_full(ahead, base));
+  benchmark::DoNotOptimize(vv::compare_full(ahead, other));
+  benchmark::DoNotOptimize(base.same_values(equal));
+  benchmark::DoNotOptimize(base.same_values(ahead));
   return g_alloc_count.load(std::memory_order_relaxed) - before;
 }
 
@@ -507,13 +539,26 @@ int main(int argc, char** argv) {
     w.end_object();
     reporter.add_row(w.take());
   }
+  std::printf("\n---- exact vector comparison (compare_full + same_values: allocs) ----\n");
+  const std::uint64_t cmp_allocs = compare_full_allocs();
+  std::printf("compare_full: %llu heap allocations over four outcomes\n",
+              (unsigned long long)cmp_allocs);
+  {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.field("scenario", "compare_full");
+    w.field("compare_full_allocs", cmp_allocs);
+    w.end_object();
+    reporter.add_row(w.take());
+  }
   reporter.flush();
   std::printf("\n(expected shape: probe_total stays near size — load factor <= 0.75 and\n"
               " backward-shift deletion keep chains short; probe_max stays O(1). The\n"
               " order hash pins the exact ≺ order the churn leaves behind.\n"
               " timeline_off_allocs, causal_off_allocs and causal_on_allocs are gated at 0:\n"
               " telemetry must cost nothing when off, and tracing must stay off the\n"
-              " allocator even when on.)\n\n");
+              " allocator even when on. compare_full_allocs is gated at 0 too: exact\n"
+              " comparisons walk both vectors in place.)\n\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

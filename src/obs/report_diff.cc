@@ -22,6 +22,7 @@ std::vector<GateRule> default_gate_rules() {
       {"dropped", true},     // ring truncation must not silently grow
       {"timeline", true},    // sampling overhead (timeline_off_allocs must stay 0)
       {"causal", true},      // tracing overhead (causal_*_allocs must stay 0)
+      {"allocs", true},      // hot-path heap allocations (compare_full_allocs must stay 0)
       {"violations", true},  // Table 2 bound violations
       {"retries", true},     // recovery retries per fault budget must not grow
       {"failures", true},    // exhausted retry budgets (sync_failures)

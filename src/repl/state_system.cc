@@ -593,8 +593,7 @@ bool StateSystem::replicas_consistent(ObjectId obj) const {
       continue;
     }
     if (!(it->second.data == first->data)) return false;
-    if (!(it->second.vector.to_version_vector() == first->vector.to_version_vector()))
-      return false;
+    if (!it->second.vector.same_values(first->vector)) return false;
   }
   return true;
 }

@@ -154,17 +154,23 @@ std::uint32_t ScenarioWorld::gossip_round() {
     if (deg == 0) continue;
 
     std::uint32_t nb = kNoSite;
+    bool cut = false;  // some neighbor is across the partition
     std::uint32_t j = 0;
     for (; j < deg; ++j) {
       const std::uint32_t cand = mesh_.neighbor(s, (cursor_[s] + j) % deg);
-      if (active_[cand] != 0 && !edge_blocked(s, cand)) {
+      if (edge_blocked(s, cand)) {
+        cut = true;
+      } else if (active_[cand] != 0) {
         nb = cand;
         break;
       }
     }
     if (nb == kNoSite) {
-      // No reachable peer this round (churn/partition); the push debt stays.
-      if (queued_[s] == 0) {
+      // No reachable peer this round. Behind a partition the push debt
+      // waits for heal, which re-dirties every site with a cross-side edge;
+      // kept queued, the site would hold every quiesce open until its cap.
+      // Behind churn alone the debt stays: bring_online ends the phase.
+      if (!cut && queued_[s] == 0) {
         queued_[s] = 1;
         dirty_.push_back(s);
       }
@@ -266,8 +272,10 @@ std::pair<bool, bool> ScenarioWorld::exchange(std::uint32_t s, std::uint32_t nb)
       }
     }
   }
-  refresh_eq(s);
-  refresh_eq(nb);
+  // equals_sup(x) reads only replica x and sup_, and sup_ changes only with
+  // sup_epoch_: an unchanged endpoint whose flag is from this epoch is exact.
+  if (a_changed || eq_epoch_[s] != sup_epoch_) refresh_eq(s);
+  if (b_changed || eq_epoch_[nb] != sup_epoch_) refresh_eq(nb);
   return {a_changed, b_changed};
 }
 

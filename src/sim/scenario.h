@@ -13,8 +13,9 @@
 // when it has pushed to every neighbor since its last change, so an empty
 // dirty queue means every edge has equalized since the last update — and by
 // the monotone-join argument, every connected component has converged.
-// Work per round is O(dirty wavefront), not O(n): a 10^5-site ring runs its
-// ~n/2-round convergence wave in seconds.
+// (A site that can reach no neighbor across a partition also goes clean;
+// heal re-dirties it.) Work per round is O(dirty wavefront), not O(n): a
+// 10^5-site ring runs its ~n/2-round convergence wave in seconds.
 //
 // Fidelity note (§2.2): the engine deliberately omits the post-reconciliation
 // local increment the paper mandates after automatic conflict resolution.
@@ -181,9 +182,9 @@ class ScenarioWorld {
   // Convergence oracle: the element-wise supremum of all updates issued so
   // far (≤ writers + flash entries for vv; a node count for syncg), plus a
   // lazily-epoch-validated per-site equality flag. Updates bump the epoch
-  // (every stale flag means "not converged"); exchanges refresh the flags of
-  // the two endpoints they touched. At quiescence every site's last exchange
-  // postdates the last update, so eq_count_ is exact.
+  // (every stale flag means "not converged"); an exchange refreshes the flag
+  // of each endpoint it changed or whose flag is stale. At quiescence every
+  // site's last exchange postdates the last update, so eq_count_ is exact.
   void sup_set(std::uint32_t site, std::uint64_t value);
   bool equals_sup(std::uint32_t s) const;
   void refresh_eq(std::uint32_t s);

@@ -22,7 +22,28 @@ Ordering compare_fast(const RotatingVector& a, const RotatingVector& b) {
 }
 
 Ordering compare_full(const RotatingVector& a, const RotatingVector& b) {
-  return a.to_version_vector().compare(b.to_version_vector());
+  // VersionVector::compare, walked in place: an absent element and a stored
+  // zero-valued one (rotate_after inserts value 0) both read as 0.
+  bool a_has_more = false;  // some a[i] > b[i]
+  bool b_has_more = false;
+  for (const RotatingVector::Element e : a) {
+    const std::uint64_t theirs = b.value(e.site);
+    if (e.value > theirs) a_has_more = true;
+    if (e.value < theirs) b_has_more = true;
+    if (a_has_more && b_has_more) return Ordering::kConcurrent;
+  }
+  if (!b_has_more) {
+    for (const RotatingVector::Element e : b) {
+      if (e.value > a.value(e.site)) {
+        b_has_more = true;
+        break;
+      }
+    }
+  }
+  if (a_has_more && b_has_more) return Ordering::kConcurrent;
+  if (a_has_more) return Ordering::kAfter;
+  if (b_has_more) return Ordering::kBefore;
+  return Ordering::kEqual;
 }
 
 }  // namespace optrep::vv

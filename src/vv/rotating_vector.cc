@@ -92,6 +92,16 @@ bool RotatingVector::same_values(const VersionVector& oracle) const {
   return true;
 }
 
+bool RotatingVector::same_values(const RotatingVector& other) const {
+  for (std::uint32_t s = ld(head_); s != kNil; s = ld(next_[s])) {
+    if (ld(value_[s]) != other.value(ld(site_[s]))) return false;
+  }
+  for (std::uint32_t s = ld(other.head_); s != kNil; s = ld(other.next_[s])) {
+    if (ld(other.value_[s]) != value(ld(other.site_[s]))) return false;
+  }
+  return true;
+}
+
 void RotatingVector::erase(SiteId site) {
   const std::uint32_t s = index_.find(site);
   if (s == kNil) return;

@@ -304,6 +304,9 @@ class RotatingVector {
 
   // Value equality ignoring order and bits (what Theorem 3.1 is about).
   bool same_values(const VersionVector& oracle) const;
+  // The same between two rotating vectors, walked in place: equal non-zero
+  // values (a stored zero-valued element reads as absent). Allocation-free.
+  bool same_values(const RotatingVector& other) const;
 
   // Probe statistics of the site index (see FlatSiteIndex::probe_stats) —
   // deterministic index-quality numbers for bench_microops baselines.

@@ -262,6 +262,8 @@ std::string scenario_run_report_json(const sim::ScenarioWorld& world, std::strin
   w.field("mesh", sim::to_string(cfg.mesh));
   w.field("degree", std::uint64_t{cfg.degree});
   w.field("edges", world.mesh().edge_count());
+  // Computed here, off run_scenario's timed path: one BFS over the mesh.
+  w.field("components", std::uint64_t{world.mesh().components()});
   w.field("script", script);
   w.field("seed", cfg.seed);
   w.end_object();

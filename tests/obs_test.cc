@@ -12,6 +12,7 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "repl/state_system.h"
+#include "vv/compare.h"
 #include "vv/session.h"
 #include "workload/report.h"
 #include "workload/trace.h"
@@ -416,6 +417,46 @@ TEST(HotPath, SteadyStateSyncSessionAllocatesNoHeapMemory) {
   for (std::uint32_t i = 0; i < kSites; ++i) {
     EXPECT_EQ(a.value(SiteId{i}), b.value(SiteId{i})) << "site " << i;
   }
+}
+
+// The exact comparison between two rotating vectors (the scenario engine's
+// exchange decision, sync_with_recovery's per-attempt check) and the value
+// equality behind StateSystem::replicas_consistent walk both vectors in
+// place: no VersionVector, no heap. All four outcomes, with a stored
+// zero-valued element on one side.
+TEST(HotPath, RotatingVectorComparisonsAllocateNoHeapMemory) {
+  constexpr std::uint32_t kSites = 24;
+  auto make = [] {
+    vv::RotatingVector v;
+    v.reserve(kSites + 1);
+    for (std::uint32_t i = 0; i < kSites; ++i) v.record_update(SiteId{i});
+    return v;
+  };
+  const vv::RotatingVector base = make();
+  vv::RotatingVector equal = make();
+  equal.rotate_after(std::nullopt, SiteId{kSites});  // stored zero: same values
+  vv::RotatingVector ahead = make();
+  ahead.record_update(SiteId{3});
+  vv::RotatingVector other = make();
+  other.record_update(SiteId{5});
+
+  const std::uint64_t before = g_alloc_count;
+  std::uint64_t outcomes[4] = {};
+  std::uint64_t right_equality = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ++outcomes[static_cast<int>(vv::compare_full(base, equal))];
+    ++outcomes[static_cast<int>(vv::compare_full(base, ahead))];
+    ++outcomes[static_cast<int>(vv::compare_full(ahead, base))];
+    ++outcomes[static_cast<int>(vv::compare_full(ahead, other))];
+    right_equality += base.same_values(equal) ? 1 : 0;
+    right_equality += base.same_values(ahead) ? 0 : 1;
+  }
+  EXPECT_EQ(g_alloc_count, before) << "rotating-vector comparisons must not allocate";
+  EXPECT_EQ(right_equality, 2000u);
+  EXPECT_EQ(outcomes[static_cast<int>(vv::Ordering::kEqual)], 1000u);
+  EXPECT_EQ(outcomes[static_cast<int>(vv::Ordering::kBefore)], 1000u);
+  EXPECT_EQ(outcomes[static_cast<int>(vv::Ordering::kAfter)], 1000u);
+  EXPECT_EQ(outcomes[static_cast<int>(vv::Ordering::kConcurrent)], 1000u);
 }
 
 }  // namespace

@@ -176,6 +176,19 @@ TEST(ReportDiff, ZeroBaselineRegressesOnAnyIncrease) {
   EXPECT_FALSE(gate_failed({diff_docs("d", zero, zero, opt)}, opt));
 }
 
+TEST(ReportDiff, HotPathAllocationsAreGatedAtZero) {
+  // bench_microops' compare_full row: one heap allocation on the exact
+  // comparison path fails the gate.
+  const FlatDoc zero = flat_of("{\"rows\":[{\"compare_full_allocs\":0}]}");
+  const FlatDoc one = flat_of("{\"rows\":[{\"compare_full_allocs\":1}]}");
+  DiffOptions opt;
+  const DocDiff diff = diff_docs("BENCH_microops.json", zero, one, opt);
+  ASSERT_EQ(diff.deltas.size(), 1u);
+  EXPECT_TRUE(diff.deltas[0].gated);
+  EXPECT_TRUE(gate_failed({diff}, opt));
+  EXPECT_FALSE(gate_failed({diff_docs("BENCH_microops.json", zero, zero, opt)}, opt));
+}
+
 TEST(ReportDiff, UnmatchedPathsAreInformationalOnly) {
   // "syncs" matches no gate rule: a 10x move must not fail the gate.
   const FlatDoc base = flat_of("{\"stats\":{\"syncs\":10}}");

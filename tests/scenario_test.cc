@@ -99,6 +99,41 @@ TEST(ScenarioWorld, PartitionBlocksCrossHalfConvergence) {
   EXPECT_TRUE(world.converged());
 }
 
+// A dirty site whose every neighbor is across the partition cannot push
+// until heal. It must not hold the quiesce open until the round cap: heal
+// re-dirties it, and the world then converges.
+TEST(ScenarioWorld, PartitionIsolatedSiteLetsQuiesceEnd) {
+  for (std::uint64_t seed = 1; seed < 200; ++seed) {
+    ScenarioWorld::Config cfg = small_world_cfg(ScenarioAlgo::kSrv, 64, 4);
+    cfg.mesh = sim::MeshKind::kSmallWorld;
+    cfg.seed = seed;
+    ScenarioWorld world(cfg);
+    const sim::Mesh& mesh = world.mesh();
+    const auto half = [](std::uint32_t s) { return s >= 32; };
+    std::uint32_t isolated = 64;
+    for (std::uint32_t s = 0; s < 64 && isolated == 64; ++s) {
+      bool all_across = mesh.degree(s) > 0;
+      for (std::uint32_t j = 0; j < mesh.degree(s); ++j) {
+        all_across = all_across && half(mesh.neighbor(s, j)) != half(s);
+      }
+      if (all_across) isolated = s;
+    }
+    if (isolated == 64) continue;
+
+    world.set_partitioned(true);
+    world.local_update(isolated);
+    world.local_update(world.next_writer());
+    for (int r = 0; r < 1000 && world.dirty_count() > 0; ++r) world.gossip_round();
+    EXPECT_EQ(world.dirty_count(), 0u) << "seed " << seed << " site " << isolated;
+    EXPECT_FALSE(world.converged());
+    world.set_partitioned(false);
+    while (world.dirty_count() > 0) world.gossip_round();
+    EXPECT_TRUE(world.converged());
+    return;
+  }
+  FAIL() << "no seed gives a site isolated by the partition";
+}
+
 TEST(ScenarioWorld, ChurnedSitesCatchUpAfterComingBack) {
   ScenarioWorld world(small_world_cfg(ScenarioAlgo::kCrv, 64, 4));
   world.take_offline(16);
@@ -206,11 +241,25 @@ TEST(ScenarioDriver, ReportCarriesSchemaAndMemorySections) {
   const std::string json = wl::scenario_run_report_json(world, "converge", stats);
   for (const char* key :
        {"\"schema\":\"optrep.run/v1\"", "\"command\":\"scenario\"", "\"algo\":\"srv\"",
-        "\"mesh\":\"ring\"", "\"converged\":true", "\"arena_live_bytes\"",
+        "\"mesh\":\"ring\"", "\"components\":1", "\"converged\":true", "\"arena_live_bytes\"",
         "\"replica_bytes\"", "\"mesh_bytes\"", "\"rt.arena.live_bytes\"",
         "\"scenario.rounds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+// The report states how many pieces the mesh is in, so a run that cannot
+// converge says why. Unit-degree small-world at 4096 sites is split.
+TEST(ScenarioDriver, ReportCountsMeshComponents) {
+  ScenarioWorld::Config cfg = small_world_cfg(ScenarioAlgo::kSrv, 4096, 4);
+  cfg.mesh = sim::MeshKind::kSmallWorld;
+  cfg.degree = 1;
+  cfg.seed = 1;
+  const ScenarioWorld world(cfg);
+  const std::uint32_t parts = world.mesh().components();
+  ASSERT_GT(parts, 1u);
+  const std::string json = wl::scenario_run_report_json(world, "converge", wl::ScenarioStats{});
+  EXPECT_NE(json.find("\"components\":" + std::to_string(parts) + ","), std::string::npos);
 }
 
 TEST(ScenarioDriver, TimelineSamplesOnRoundAxis) {
