@@ -84,10 +84,15 @@ bool RotatingVector::identical_to(const RotatingVector& other) const {
   return std::equal(begin(), end(), other.begin());
 }
 
+// Both directions, as in the RotatingVector overload: a size check would
+// count a stored zero (rotate_after before set_element) that the oracle,
+// which holds no zero values, has no entry for.
 bool RotatingVector::same_values(const VersionVector& oracle) const {
-  if (size() != oracle.size()) return false;
   for (std::uint32_t s = ld(head_); s != kNil; s = ld(next_[s])) {
     if (ld(value_[s]) != oracle.value(ld(site_[s]))) return false;
+  }
+  for (const auto& [site, v] : oracle.elements()) {
+    if (v != value(site)) return false;
   }
   return true;
 }

@@ -302,10 +302,10 @@ class RotatingVector {
   // Structural equality: same values, same ≺ order, same bits.
   bool identical_to(const RotatingVector& other) const;
 
-  // Value equality ignoring order and bits (what Theorem 3.1 is about).
+  // Value equality ignoring order and bits (what Theorem 3.1 is about): equal
+  // non-zero values; a stored zero-valued element reads as absent.
   bool same_values(const VersionVector& oracle) const;
-  // The same between two rotating vectors, walked in place: equal non-zero
-  // values (a stored zero-valued element reads as absent). Allocation-free.
+  // The same between two rotating vectors, walked in place. Allocation-free.
   bool same_values(const RotatingVector& other) const;
 
   // Probe statistics of the site index (see FlatSiteIndex::probe_stats) —
