@@ -26,7 +26,8 @@
 
 #include "common/check.h"
 #include "common/ids.h"
-#include "obs/flight_recorder.h"
+#include "obs/ring.h"
+#include "obs/trace.h"
 
 namespace optrep::obs {
 
@@ -68,9 +69,7 @@ class CausalTracer {
 
   explicit CausalTracer(std::uint64_t run_seed,
                         std::size_t capacity = kDefaultCapacity)
-      : seed_(run_seed), buf_(capacity) {
-    OPTREP_CHECK_MSG(capacity > 0, "causal tracer capacity must be positive");
-  }
+      : seed_(run_seed), ring_(capacity) {}
 
   std::uint64_t run_seed() const { return seed_; }
 
@@ -92,29 +91,13 @@ class CausalTracer {
 
   // Ring write; never allocates, overwrites the oldest event when full and
   // advances dropped() so truncation is visible in dumps.
-  void record(const CausalEvent& e) {
-    ++total_;
-    if (size_ < buf_.size()) {
-      buf_[(head_ + size_) % buf_.size()] = e;
-      ++size_;
-    } else {
-      buf_[head_] = e;
-      head_ = (head_ + 1) % buf_.size();
-      ++dropped_;
-    }
-  }
+  void record(const CausalEvent& e) { ring_.push(e); }
 
   // --- typed emitters -----------------------------------------------------
 
   void origin(double at, ObjectId obj, SiteId site, std::uint64_t seq) {
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kOrigin;
-    e.trace = trace_id(obj, site, seq);
-    e.obj = obj;
-    e.site = site;
-    e.seq = seq;
-    record(e);
+    record({.at = at, .type = CausalEventType::kOrigin, .trace = trace_id(obj, site, seq),
+            .obj = obj, .site = site, .seq = seq});
   }
 
   // Opens a hop span and returns its id. `parent` is 0 for root spans;
@@ -123,103 +106,55 @@ class CausalTracer {
   std::uint64_t begin_span(double at, std::uint64_t parent, SiteId src,
                            SiteId dst, std::uint32_t attempt) {
     const std::uint64_t id = ++last_span_;
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kSpanBegin;
-    e.span = id;
-    e.parent = parent;
-    e.src = src;
-    e.dst = dst;
-    e.attempt = attempt;
-    record(e);
+    record({.at = at, .type = CausalEventType::kSpanBegin, .span = id, .parent = parent,
+            .src = src, .dst = dst, .attempt = attempt});
     return id;
   }
 
   void end_span(double at, std::uint64_t span, std::uint64_t bits, bool ok) {
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kSpanEnd;
-    e.span = span;
-    e.bits = bits;
-    e.ok = ok;
-    record(e);
+    record({.at = at, .type = CausalEventType::kSpanEnd, .span = span, .bits = bits, .ok = ok});
   }
 
   void wire(double at, bool recv, std::uint64_t span, bool forward,
             SiteId site, std::uint64_t value, std::uint64_t bits) {
-    CausalEvent e;
-    e.at = at;
-    e.type = recv ? CausalEventType::kWireRecv : CausalEventType::kWireSend;
-    e.span = span;
-    e.site = site;
-    e.seq = value;
-    e.bits = bits;
-    e.forward = forward;
-    record(e);
+    record({.at = at,
+            .type = recv ? CausalEventType::kWireRecv : CausalEventType::kWireSend,
+            .span = span, .site = site, .seq = value, .bits = bits, .forward = forward});
   }
 
   void fault(double at, std::uint64_t span, bool forward, FlightFault f,
              SiteId site, std::uint64_t value) {
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kFault;
-    e.span = span;
-    e.site = site;
-    e.seq = value;
-    e.forward = forward;
-    e.fault = f;
-    record(e);
+    record({.at = at, .type = CausalEventType::kFault, .span = span, .site = site,
+            .seq = value, .forward = forward, .fault = f});
   }
 
   void apply(double at, std::uint64_t span, SiteId site, std::uint64_t value) {
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kApply;
-    e.span = span;
-    e.site = site;
-    e.seq = value;
-    record(e);
+    record({.at = at, .type = CausalEventType::kApply, .span = span, .site = site,
+            .seq = value});
   }
 
   void deliver(double at, ObjectId obj, SiteId origin_site, std::uint64_t seq,
                std::uint64_t span, SiteId src, SiteId dst) {
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kDeliver;
-    e.trace = trace_id(obj, origin_site, seq);
-    e.span = span;
-    e.obj = obj;
-    e.site = origin_site;
-    e.seq = seq;
-    e.src = src;
-    e.dst = dst;
-    record(e);
+    record({.at = at, .type = CausalEventType::kDeliver,
+            .trace = trace_id(obj, origin_site, seq), .span = span, .obj = obj,
+            .site = origin_site, .seq = seq, .src = src, .dst = dst});
   }
 
   void converge(double at, ObjectId obj, SiteId origin_site, std::uint64_t seq) {
-    CausalEvent e;
-    e.at = at;
-    e.type = CausalEventType::kConverge;
-    e.trace = trace_id(obj, origin_site, seq);
-    e.obj = obj;
-    e.site = origin_site;
-    e.seq = seq;
-    record(e);
+    record({.at = at, .type = CausalEventType::kConverge,
+            .trace = trace_id(obj, origin_site, seq), .obj = obj, .site = origin_site,
+            .seq = seq});
   }
 
   // --- ring access --------------------------------------------------------
 
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return size_; }
-  std::uint64_t total_recorded() const { return total_; }
-  std::uint64_t dropped() const { return dropped_; }
+  std::size_t capacity() const { return ring_.capacity(); }
+  std::size_t size() const { return ring_.size(); }
+  std::uint64_t total_recorded() const { return ring_.total_recorded(); }
+  std::uint64_t dropped() const { return ring_.dropped(); }
   std::uint64_t spans_opened() const { return last_span_; }
-
   // i-th oldest retained event, i ∈ [0, size()).
-  const CausalEvent& event(std::size_t i) const {
-    OPTREP_DCHECK(i < size_);
-    return buf_[(head_ + i) % buf_.size()];
-  }
+  const CausalEvent& event(std::size_t i) const { return ring_[i]; }
 
   // Fold a per-session scratch tracer (repl::StateSystem::run_batch computes
   // sessions in parallel, each tracing into its own small ring) into this
@@ -244,18 +179,13 @@ class CausalTracer {
   }
 
   void clear() {
-    head_ = size_ = 0;
-    total_ = dropped_ = 0;
+    ring_.clear();
     last_span_ = 0;
   }
 
  private:
   std::uint64_t seed_;
-  std::vector<CausalEvent> buf_;  // sized once; never reallocated
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::uint64_t total_{0};
-  std::uint64_t dropped_{0};
+  Ring<CausalEvent> ring_;
   std::uint64_t last_span_{0};
 };
 

@@ -236,7 +236,7 @@ std::string metrics_to_csv(const Registry& reg) {
 // Traces
 // ---------------------------------------------------------------------------
 
-void write_trace_event(JsonWriter& w, const TraceEvent& e) {
+void write_trace_event(JsonWriter& w, const TraceEvent& e, bool with_fault) {
   w.begin_object();
   w.field("t", e.at);
   w.field("session", e.session);
@@ -245,46 +245,31 @@ void write_trace_event(JsonWriter& w, const TraceEvent& e) {
   w.field("site", std::uint64_t{e.site.value});
   w.field("value", e.value);
   w.field("bits", e.bits);
+  if (with_fault) w.field("fault", to_string(e.fault));
   w.end_object();
 }
 
+std::string trace_events_document(std::string header, const Ring<TraceEvent>& events,
+                                  bool with_fault) {
+  header += ",\"events\":[";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    header += i == 0 ? "\n" : ",\n";
+    JsonWriter w;
+    write_trace_event(w, events[i], with_fault);
+    header += w.str();
+  }
+  header += "\n]}\n";
+  return header;
+}
+
 std::string trace_to_json(const Tracer& t) {
-  // Assembled by hand so each event sits on its own line (greppable output
-  // that is still one valid JSON document).
   JsonWriter hdr;
   hdr.begin_object();
   hdr.field("schema", "optrep.trace/v1");
   hdr.field("capacity", std::uint64_t{t.capacity()});
   hdr.field("total_recorded", t.total_recorded());
   hdr.field("dropped", t.dropped());
-  std::string out = hdr.take();  // deliberately unterminated: events follow
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    JsonWriter w;
-    write_trace_event(w, t.event(i));
-    out += w.str();
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-std::string trace_to_csv(const Tracer& t) {
-  std::string out = "t,session,type,dir,site,value,bits\n";
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const TraceEvent& e = t.event(i);
-    out += CsvRow()
-               .add(e.at, 9)
-               .add(e.session)
-               .add(to_string(e.type))
-               .add(e.forward ? "fwd" : "rev")
-               .add(std::uint64_t{e.site.value})
-               .add(e.value)
-               .add(e.bits)
-               .str();
-    out.push_back('\n');
-  }
-  return out;
+  return trace_events_document(hdr.take(), t, /*with_fault=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,48 +328,6 @@ std::string sync_report_to_json(const vv::SyncReport& r, vv::VectorKind kind,
   w.field("within_table2_bound", ok);
   w.end_object();
   return w.take();
-}
-
-std::string sync_report_csv_header() {
-  return CsvRow()
-      .add("relation")
-      .add("bits_fwd")
-      .add("bits_rev")
-      .add("bytes_fwd")
-      .add("bytes_rev")
-      .add("msgs_fwd")
-      .add("msgs_rev")
-      .add("elems_sent")
-      .add("elems_applied")
-      .add("elems_redundant")
-      .add("elems_straggler")
-      .add("elems_after_halt")
-      .add("skip_msgs")
-      .add("segments_skipped")
-      .add("ack_msgs")
-      .add("duration")
-      .str();
-}
-
-std::string sync_report_csv_row(const vv::SyncReport& r) {
-  return CsvRow()
-      .add(vv::to_string(r.initial_relation))
-      .add(r.bits_fwd)
-      .add(r.bits_rev)
-      .add(r.bytes_fwd)
-      .add(r.bytes_rev)
-      .add(r.msgs_fwd)
-      .add(r.msgs_rev)
-      .add(r.elems_sent)
-      .add(r.elems_applied)
-      .add(r.elems_redundant)
-      .add(r.elems_straggler)
-      .add(r.elems_after_halt)
-      .add(r.skip_msgs)
-      .add(r.segments_skipped)
-      .add(r.ack_msgs)
-      .add(r.duration, 9)
-      .str();
 }
 
 }  // namespace optrep::obs

@@ -99,11 +99,15 @@ std::string metrics_to_csv(const Registry& reg);
 // Traces
 // ---------------------------------------------------------------------------
 
-void write_trace_event(JsonWriter& w, const TraceEvent& e);
-// {"schema":...,"capacity":..,"total":..,"dropped":..,"events":[...]}
-// Events render one per line for greppability; still valid JSON.
+// One event object; `with_fault` appends the flight recorder's "fault" field.
+void write_trace_event(JsonWriter& w, const TraceEvent& e, bool with_fault = false);
+// Closes an unterminated header object with the ring's events, oldest first
+// and one per line (greppable, still one valid document): the shared body of
+// optrep.trace/v1 and optrep.flight/v1.
+std::string trace_events_document(std::string header, const Ring<TraceEvent>& events,
+                                  bool with_fault);
+// {"schema":...,"capacity":..,"total_recorded":..,"dropped":..,"events":[...]}
 std::string trace_to_json(const Tracer& t);
-std::string trace_to_csv(const Tracer& t);
 
 // ---------------------------------------------------------------------------
 // SyncReport
@@ -123,8 +127,5 @@ void write_sync_report(JsonWriter& w, const vv::SyncReport& r);
 // session can never exceed the paper's bound silently.
 std::string sync_report_to_json(const vv::SyncReport& r, vv::VectorKind kind,
                                 const CostModel& cm, Registry* bound_sink = nullptr);
-
-std::string sync_report_csv_header();
-std::string sync_report_csv_row(const vv::SyncReport& r);
 
 }  // namespace optrep::obs

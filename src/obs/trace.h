@@ -2,20 +2,21 @@
 //
 // A Tracer records fixed-size TraceEvents — one per protocol occurrence worth
 // auditing (element sent/applied/redundant, SKIP issued/honored, HALT, ack,
-// session begin/end) — stamped with simulated time and a session id. The
-// buffer is allocated once at construction; when it fills, the oldest event
-// is overwritten and an explicit drop counter advances, so truncation is
+// session begin/end) — stamped with simulated time and a session id. It is
+// the retain-last-N policy over obs::Ring (obs/ring.h): when the ring fills,
+// the oldest event is overwritten and dropped() advances, so truncation is
 // always visible in exported artifacts (see obs/export.h).
 //
-// Tracer::record is allocation-free: one array store plus counter updates.
+// TraceEvent is the one wire-event record: the flight recorder
+// (obs/flight_recorder.h) keeps the same record, with `fault` set on the
+// events fault injection touched. Tracer::record is allocation-free.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-#include "common/check.h"
 #include "common/ids.h"
+#include "obs/ring.h"
 #include "sim/event_loop.h"
 
 namespace optrep::obs {
@@ -37,64 +38,45 @@ enum class TraceEventType : std::uint8_t {
 
 std::string_view to_string(TraceEventType t);
 
+// What fault injection did to the message an event describes. kNone for
+// ordinary wire events; kDecodeError marks a corruption the typed codec
+// itself rejected (the subset of kCorrupted the checksum model need not
+// catch).
+enum class FlightFault : std::uint8_t {
+  kNone,
+  kDropped,
+  kDuplicated,
+  kReordered,
+  kCorrupted,
+  kDecodeError,
+};
+
+std::string_view to_string(FlightFault f);
+
 struct TraceEvent {
   sim::Time at{0};           // simulated time of the occurrence
   std::uint64_t session{0};  // session id (0 = outside any session)
   TraceEventType type{TraceEventType::kElemSent};
   bool forward{true};        // pertains to the sender→receiver direction
+  FlightFault fault{FlightFault::kNone};  // flight recorder: injected fault
   SiteId site{};             // element site, when applicable
   std::uint64_t value{0};    // element value / SKIP segment index
   std::uint64_t bits{0};     // model bits charged (wire events), else 0
 };
+static_assert(sizeof(TraceEvent) == 40, "fault must fit in TraceEvent's padding");
 
-class Tracer {
+// The retain-last-N policy: a Ring<TraceEvent> under the recorder names.
+class Tracer : public Ring<TraceEvent> {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
 
-  explicit Tracer(std::size_t capacity = kDefaultCapacity) : buf_(capacity) {
-    OPTREP_CHECK_MSG(capacity > 0, "tracer capacity must be positive");
-  }
+  explicit Tracer(std::size_t capacity = kDefaultCapacity) : Ring(capacity) {}
 
   // No allocation: overwrites the oldest retained event when full and
   // advances dropped().
-  void record(const TraceEvent& e) {
-    ++total_;
-    if (size_ < buf_.size()) {
-      buf_[(head_ + size_) % buf_.size()] = e;
-      ++size_;
-    } else {
-      buf_[head_] = e;
-      head_ = (head_ + 1) % buf_.size();
-      ++dropped_;
-    }
-  }
-
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return size_; }            // retained events
-  std::uint64_t total_recorded() const { return total_; }
-  std::uint64_t dropped() const { return dropped_; }
-
+  void record(const TraceEvent& e) { push(e); }
   // i-th oldest retained event, i ∈ [0, size()).
-  const TraceEvent& event(std::size_t i) const {
-    OPTREP_DCHECK(i < size_);
-    return buf_[(head_ + i) % buf_.size()];
-  }
-
-  // Session ids handed to protocol runs so events are attributable.
-  std::uint64_t next_session_id() { return ++last_session_; }
-
-  void clear() {
-    head_ = size_ = 0;
-    total_ = dropped_ = 0;
-  }
-
- private:
-  std::vector<TraceEvent> buf_;  // sized once; never reallocated
-  std::size_t head_{0};
-  std::size_t size_{0};
-  std::uint64_t total_{0};
-  std::uint64_t dropped_{0};
-  std::uint64_t last_session_{0};
+  const TraceEvent& event(std::size_t i) const { return (*this)[i]; }
 };
 
 }  // namespace optrep::obs

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
@@ -417,6 +418,76 @@ TEST(HotPath, SteadyStateSyncSessionAllocatesNoHeapMemory) {
   for (std::uint32_t i = 0; i < kSites; ++i) {
     EXPECT_EQ(a.value(SiteId{i}), b.value(SiteId{i})) << "site " << i;
   }
+}
+
+// The same steady-state session with a Tracer and a FlightRecorder attached:
+// every wire message becomes one TraceEvent handed to both rings, and
+// neither ring nor the event builder touches the heap.
+TEST(HotPath, TracedAndRecordedSessionAllocatesNoHeapMemory) {
+  constexpr std::uint32_t kSites = 24;
+  constexpr std::uint32_t kMissing = 8;
+  vv::RotatingVector base;
+  for (std::uint32_t i = 0; i < kSites - kMissing; ++i) base.record_update(SiteId{i});
+  vv::RotatingVector b = base;
+  for (std::uint32_t i = kSites - kMissing; i < kSites; ++i) b.record_update(SiteId{i});
+
+  Tracer tracer(/*capacity=*/16);  // small rings: both wrap
+  FlightRecorder recorder(/*capacity=*/8);
+  vv::SyncOptions opt;
+  opt.kind = vv::VectorKind::kSrv;
+  opt.mode = vv::TransferMode::kPipelined;
+  opt.cost = CostModel{.n = kSites, .m = 1 << 16};
+  opt.known_relation = vv::Ordering::kBefore;
+  opt.tracer = &tracer;
+  opt.recorder = &recorder;
+  opt.trace_session = 9;
+
+  sim::EventLoop loop;
+  loop.reserve(4 * kSites);
+  vv::RotatingVector warm = base;
+  warm.reserve(kSites);
+  vv::sync_rotating(loop, warm, b, opt);
+
+  vv::RotatingVector a = base;
+  a.reserve(kSites);
+  const std::uint64_t traced_before = tracer.total_recorded();
+  const std::uint64_t recorded_before = recorder.total_recorded();
+  const std::uint64_t before = g_alloc_count;
+  const vv::SyncReport rep = vv::sync_rotating(loop, a, b, opt);
+  EXPECT_EQ(g_alloc_count, before) << "traced, recorded sessions must not allocate";
+  EXPECT_EQ(rep.elems_applied, kMissing);
+  // Both observers saw the session: every wire message reached the recorder,
+  // and the tracer also holds the brackets and the receiver's verdicts.
+  EXPECT_EQ(recorder.total_recorded() - recorded_before, rep.msgs_fwd + rep.msgs_rev);
+  EXPECT_GT(tracer.total_recorded() - traced_before, rep.msgs_fwd + rep.msgs_rev);
+  EXPECT_GT(tracer.dropped(), 0u);
+  EXPECT_GT(recorder.dropped(), 0u);
+}
+
+// FlightRecorder's freeze is a ring copy into a second ring sized at
+// construction: record, trigger, more records and a later trigger all stay
+// off the heap.
+TEST(HotPath, FlightRecorderTriggerAllocatesNoHeapMemory) {
+  FlightRecorder r(/*capacity=*/8);
+  TraceEvent e;
+  const std::uint64_t before = g_alloc_count;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    e.value = i;
+    r.record(e);
+  }
+  r.trigger("table2_bound_violation", 1.0);
+  for (std::uint64_t i = 20; i < 40; ++i) {
+    e.value = i;
+    r.record(e);
+  }
+  r.trigger("retry_exhausted", 2.0);
+  EXPECT_EQ(g_alloc_count, before) << "flight recording and triggers must not allocate";
+  EXPECT_EQ(r.trigger_count(), 2u);
+  EXPECT_EQ(r.trigger_seq(), 20u);
+  ASSERT_EQ(r.dump_size(), 8u);
+  EXPECT_EQ(r.dump_event(0).value, 12u);
+  EXPECT_EQ(r.dump_event(7).value, 19u);
+  EXPECT_EQ(r.event(7).value, 39u);
 }
 
 // The exact comparison between two rotating vectors (the scenario engine's

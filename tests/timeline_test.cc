@@ -151,8 +151,8 @@ TEST(EventLoopSampler, ClearStopsSampling) {
 
 // ---- FlightRecorder --------------------------------------------------------
 
-obs::FlightRecord rec_at(double at, std::uint64_t value) {
-  obs::FlightRecord r;
+obs::TraceEvent rec_at(double at, std::uint64_t value) {
+  obs::TraceEvent r;
   r.at = at;
   r.value = value;
   return r;
@@ -189,7 +189,7 @@ TEST(FlightRecorder, FirstTriggerFreezesTheSnapshot) {
 
 TEST(FlightRecorder, DumpJsonShape) {
   obs::FlightRecorder r(4);
-  obs::FlightRecord e;
+  obs::TraceEvent e;
   e.at = 1.25;
   e.session = 3;
   e.type = obs::TraceEventType::kElemSent;
