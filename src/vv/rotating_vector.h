@@ -37,8 +37,8 @@
 // Iterator walks are bounds-safe under races (slot indexes are masked to the
 // table, traversal is cycle-bounded by validation) but REQUIRE the capacity
 // contract: reserve(n) first — mutations must not reallocate the columns
-// while readers hold pointers into them. The wave scheduler (repl/wave.h)
-// reserves every replica before going parallel. Arena-backed columns keep
+// while readers hold pointers into them. StateSystem::run_batch reserves
+// every touched replica before going parallel. Arena-backed columns keep
 // outgrown blocks mapped (Arena never frees), which downgrades a violated
 // capacity contract from use-after-free to a stale read that validation
 // rejects — the contract itself is unchanged.

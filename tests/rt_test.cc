@@ -1,18 +1,23 @@
 // optrep::rt — deterministic parallel runtime tests: every index runs exactly
 // once for any thread count, parallel_sweep returns results in config order,
-// task_seed splitting is schedule-independent, and observability shards merge
-// into the same registry a serial run would have produced.
+// task_seed splitting is schedule-independent, observability shards merge
+// into the same registry a serial run would have produced, and the level
+// planner (rt/shard.h) is safe, order-preserving and ASAP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
+#include "rt/shard.h"
 #include "rt/sweep.h"
 #include "rt/thread_pool.h"
 
@@ -198,6 +203,160 @@ TEST(ObsShards, ProfilerAbsorbKeepsSpansAndTotals) {
   shards.merge_into(nullptr, &merged);
   EXPECT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged.total_recorded(), 2u);
+}
+
+// ---- level planner (rt/shard.h) ------------------------------------------
+
+// A random spec over a small key pool so conflicts are dense: every item
+// writes one key and, most of the time, reads another (never its own, as in
+// the batch engine).
+std::vector<WaveItem> random_items(std::uint64_t seed, std::uint32_t n, std::uint32_t n_keys) {
+  Rng rng(seed);
+  std::vector<WaveItem> items(n);
+  for (WaveItem& it : items) {
+    it.write_key = 1 + rng.below(n_keys);
+    if (rng.chance(0.75)) {
+      do {
+        it.read_key = 1 + rng.below(n_keys);
+      } while (it.read_key == it.write_key);
+    }
+  }
+  return items;
+}
+
+// The plan's layout is consistent: `order` is a permutation grouped by
+// (level, shard) into runs, every run holds one shard's items of one level
+// in spec order, and the waves are the levels 0..max, each nonempty.
+void expect_well_formed(const std::vector<WaveItem>& items, const WavePlan& plan) {
+  ASSERT_EQ(plan.level.size(), items.size());
+  std::vector<std::uint32_t> sorted = plan.order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::uint32_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(sorted[i], i);
+  const std::uint32_t max_level = *std::max_element(plan.level.begin(), plan.level.end());
+  ASSERT_EQ(plan.waves(), max_level + 1u);
+  std::uint32_t pos = 0;
+  std::uint32_t max_items = 0;
+  for (std::size_t w = 0; w < plan.waves(); ++w) {
+    ASSERT_LT(plan.wave_runs[w], plan.wave_runs[w + 1]) << "empty level " << w;
+    std::unordered_set<std::uint32_t> shards;
+    for (std::uint32_t r = plan.wave_runs[w]; r < plan.wave_runs[w + 1]; ++r) {
+      const WavePlan::Run& run = plan.runs[r];
+      ASSERT_EQ(run.begin, pos);
+      ASSERT_LT(run.begin, run.end);
+      EXPECT_TRUE(shards.insert(run.shard).second) << "shard split within a level";
+      for (std::uint32_t p = run.begin; p < run.end; ++p) {
+        const std::uint32_t i = plan.order[p];
+        EXPECT_EQ(plan.level[i], w);
+        EXPECT_EQ(shard_of(items[i].write_key, plan.n_shards), run.shard);
+        if (p > run.begin) {
+          EXPECT_LT(plan.order[p - 1], i) << "run not in spec order";
+        }
+      }
+      pos = run.end;
+    }
+    max_items = std::max(max_items, plan.wave_items(w));
+  }
+  EXPECT_EQ(pos, items.size());
+  EXPECT_EQ(plan.max_wave_items(), max_items);
+}
+
+TEST(PlanWaves, RandomSpecsAreSafeOrderedAndAsap) {
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+    const std::uint32_t n_keys = seed % 2 == 0 ? 6 : 40;
+    const std::vector<WaveItem> items = random_items(seed, 400, n_keys);
+    const WavePlan plan = plan_waves(items, seed % 3 == 0 ? 4 : WavePlan::kDefaultShards);
+    expect_well_formed(items, plan);
+
+    // No level holds both a writer and a reader of one key.
+    std::vector<std::unordered_set<std::uint64_t>> writes(plan.waves()), reads(plan.waves());
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      writes[plan.level[i]].insert(items[i].write_key);
+      if (items[i].read_key != 0) reads[plan.level[i]].insert(items[i].read_key);
+    }
+    for (std::size_t w = 0; w < plan.waves(); ++w) {
+      for (const std::uint64_t k : reads[w]) {
+        EXPECT_FALSE(writes[w].contains(k)) << "seed " << seed << " level " << w << " key " << k;
+      }
+    }
+
+    // Writers of one key run in spec order (execution order = `order`).
+    std::unordered_map<std::uint64_t, std::uint32_t> last_writer;
+    for (const std::uint32_t i : plan.order) {
+      auto [it, fresh] = last_writer.try_emplace(items[i].write_key, i);
+      if (!fresh) {
+        EXPECT_LT(it->second, i) << "seed " << seed << ": writers reordered";
+      }
+      it->second = i;
+    }
+
+    // ASAP: each item sits on the least level its earlier dependencies allow.
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      std::uint32_t least = 0;
+      for (std::uint32_t j = 0; j < i; ++j) {
+        if (items[j].write_key == items[i].read_key ||
+            (items[j].read_key != 0 && items[j].read_key == items[i].write_key)) {
+          least = std::max(least, plan.level[j] + 1);
+        }
+        if (items[j].write_key == items[i].write_key) least = std::max(least, plan.level[j]);
+      }
+      EXPECT_EQ(plan.level[i], least) << "seed " << seed << " item " << i;
+    }
+  }
+}
+
+// Executing level by level — runs of one level in an arbitrary order, each
+// run in spec order — leaves every key exactly as spec-order execution does.
+TEST(PlanWaves, LevelExecutionMatchesSpecOrder) {
+  const std::vector<WaveItem> items = random_items(11, 600, 24);
+  const auto step = [](std::unordered_map<std::uint64_t, std::uint64_t>& state,
+                       const WaveItem& it, std::uint32_t i) {
+    const std::uint64_t read = it.read_key != 0 ? state[it.read_key] : 0;
+    std::uint64_t& w = state[it.write_key];
+    w = mix64(w * 31 + read * 7 + i);
+  };
+  std::unordered_map<std::uint64_t, std::uint64_t> seq, lev;
+  for (std::uint32_t i = 0; i < items.size(); ++i) step(seq, items[i], i);
+  const WavePlan plan = plan_waves(items);
+  for (std::size_t w = 0; w < plan.waves(); ++w) {
+    for (std::uint32_t r = plan.wave_runs[w + 1]; r-- > plan.wave_runs[w];) {
+      for (std::uint32_t p = plan.runs[r].begin; p < plan.runs[r].end; ++p) {
+        step(lev, items[plan.order[p]], plan.order[p]);
+      }
+    }
+  }
+  EXPECT_EQ(seq, lev);
+}
+
+// The anti-entropy drive's shape: per object, a forward pass along its host
+// list and a back pass, each session reading the previous receiver. A host
+// list of length h needs 2·(h−1) levels, however many objects run beside it.
+TEST(PlanWaves, HostChainsPlanIntoTwiceTheirLength) {
+  const auto key = [](std::uint32_t site, std::uint32_t obj) {
+    return (std::uint64_t{1} << 63) | (std::uint64_t{site} << 32) | obj;
+  };
+  for (const std::uint32_t h : {2u, 3u, 8u, 17u}) {
+    std::vector<WaveItem> items;
+    for (std::uint32_t o = 0; o < 200; ++o) {
+      // Shorter lists beside the longest one must not add levels.
+      const std::uint32_t len = o % 4 == 0 ? h : 2 + o % std::max(1u, h - 1);
+      for (std::uint32_t k = 0; k + 1 < len; ++k) {
+        items.push_back({key((o + k + 1) % 64, o), key((o + k) % 64, o)});
+      }
+      for (std::uint32_t k = len - 1; k > 0; --k) {
+        items.push_back({key((o + k - 1) % 64, o), key((o + k) % 64, o)});
+      }
+    }
+    const WavePlan plan = plan_waves(items);
+    expect_well_formed(items, plan);
+    EXPECT_EQ(plan.waves(), 2u * (h - 1)) << "host lists of length " << h;
+  }
+}
+
+TEST(PlanWaves, EmptySpecHasNoWaves) {
+  const WavePlan plan = plan_waves({});
+  EXPECT_EQ(plan.waves(), 0u);
+  EXPECT_EQ(plan.max_wave_items(), 0u);
+  EXPECT_TRUE(plan.order.empty());
 }
 
 }  // namespace
