@@ -2,7 +2,7 @@
 // versioned lock embedded in vv::RotatingVector and the sharded level engine
 // (repl::StateSystem::run_batch) built on it.
 //
-// Four kinds of output:
+// Five kinds of output:
 //   * structural rows in BENCH_contention.json — per (scenario, threads):
 //     level-schedule shape, the schedule-makespan speedup model, optimistic
 //     lock traffic, and a conservation checksum of the final fleet state.
@@ -17,6 +17,11 @@
 //     to stdout ONLY (wall time is not deterministic, so it stays out of the
 //     JSON); the two runs must end in the same fleet state and traffic, so
 //     the --threads=8 determinism run checks the engine on 8 workers;
+//   * the measured wall time of a whole 64-site, 512-object, 8000-step CRV
+//     trace run to consistency by wl::run_state and by
+//     wl::run_state_parallel on 1 and N threads — the batch engine's
+//     overhead over the sequential driver — stdout ONLY; the three runs must
+//     agree on RunStats and traffic;
 //   * a real-concurrency exercise — actual reader/writer threads hammering
 //     one olock-guarded vector (optimistic reads with writer-queue
 //     fallback). Wall-clock figures and validated read counts are machine-
@@ -25,8 +30,9 @@
 //     to sweep the lock protocol and the engine for races.
 //   * BM_* wall-clock microbenchmarks of the lock primitives — never gated.
 //
-// Makespan model: a level's sessions are partitioned over 64 write-key shards;
-// a shard's sessions run sequentially, shards run on T workers. With unit
+// Makespan model: a level's sessions are partitioned over 64 shards (by write
+// key, or the shard of the chain they continue; see rt/shard.h); a shard's
+// sessions run sequentially, shards run on T workers. With unit
 // session cost the level's completion time on T workers is bounded below by
 //   max(ceil(items / T), max shard load),
 // and greedy shard-to-worker packing achieves it to within the usual LPT
@@ -38,7 +44,7 @@
 // few hot receivers) serialize into deep shard chains and do not. That split
 // is exactly the optimistic-lock-coupling story: readers do not serialize.
 // Chains (anti-entropy's forward and back host passes over many objects)
-// need one level per link, however many independent chains run side by side.
+// each run whole in one shard, so all of them share a single level.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -58,6 +64,7 @@
 #include "rt/shard.h"
 #include "rt/thread_pool.h"
 #include "vv/rotating_vector.h"
+#include "workload/trace.h"
 
 using namespace optrep;
 using namespace optrep::bench;
@@ -125,11 +132,11 @@ std::vector<BE> build_mixed(std::uint32_t n_sites, std::uint32_t n_events) {
 // along a list of kChainHosts hosts and back again, every session reading
 // the replica the previous one wrote; different objects are independent.
 constexpr std::uint32_t kChainHosts = 8;
-constexpr std::uint32_t kChainLevels = 2 * (kChainHosts - 1);
+constexpr std::uint32_t kChainLength = 2 * (kChainHosts - 1);
 
 std::vector<BE> build_chains(std::uint32_t n_sites, std::uint32_t n_events) {
   std::vector<BE> ev;
-  for (std::uint32_t o = 0; o < n_events / kChainLevels; ++o) {
+  for (std::uint32_t o = 0; o < n_events / kChainLength; ++o) {
     std::vector<SiteId> hosts;
     for (std::uint32_t k = 0; k < kChainHosts; ++k) hosts.push_back(SiteId{(o + k) % n_sites});
     for (std::uint32_t k = 0; k + 1 < kChainHosts; ++k) {
@@ -203,6 +210,16 @@ rt::WavePlan plan_of(const std::vector<BE>& ev) {
   return rt::plan_waves(items);
 }
 
+// Each chain (one object's sessions) runs whole in one shard, and all of
+// them on one level.
+bool one_level_one_shard_per_chain(const std::vector<BE>& ev, const rt::WavePlan& plan) {
+  if (plan.waves() != 1) return false;
+  for (std::size_t i = 1; i < ev.size(); ++i) {
+    if (ev[i].obj == ev[i - 1].obj && plan.shard[i] != plan.shard[i - 1]) return false;
+  }
+  return true;
+}
+
 struct EngineRun {
   repl::StateSystem::BatchStats stats;
   std::uint64_t checksum{0};
@@ -254,6 +271,41 @@ EngineRun best_run(const std::vector<BE>& ev, std::uint32_t n_sites, rt::ThreadP
     if (r.seconds < best.seconds) best = r;
   }
   return best;
+}
+
+// ---- whole-trace drivers (stdout only) -------------------------------------
+
+struct DriverRun {
+  wl::RunStats stats;
+  std::uint64_t bits{0};
+  double seconds{0};
+};
+
+// wl::run_state (pool == nullptr) or wl::run_state_parallel on `pool`, on a
+// fresh CRV system: the fastest wall time of three runs.
+DriverRun run_driver(const wl::Trace& trace, rt::ThreadPool* pool) {
+  DriverRun best;
+  for (int rep = 0; rep < 3; ++rep) {
+    repl::StateSystem::Config cfg;
+    cfg.n_sites = trace.n_sites;
+    cfg.kind = vv::VectorKind::kCrv;
+    cfg.cost = CostModel{.n = trace.n_sites, .m = 1 << 16};
+    repl::StateSystem sys(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    const wl::RunStats stats =
+        pool == nullptr ? wl::run_state(sys, trace) : wl::run_state_parallel(sys, trace, *pool);
+    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (rep == 0 || s < best.seconds) best = {stats, sys.totals().bits, s};
+  }
+  return best;
+}
+
+bool same_run(const DriverRun& a, const DriverRun& b) {
+  return a.bits == b.bits && a.stats.updates == b.stats.updates &&
+         a.stats.syncs == b.stats.syncs && a.stats.skipped == b.stats.skipped &&
+         a.stats.conflicts == b.stats.conflicts &&
+         a.stats.eventually_consistent == b.stats.eventually_consistent &&
+         a.stats.anti_entropy_rounds == b.stats.anti_entropy_rounds;
 }
 
 // ---- real-concurrency exercise (stdout only; TSan sweeps it) --------------
@@ -380,9 +432,9 @@ int main(int argc, char** argv) {
                    poolN.threads());
       return 1;
     }
-    if (std::string(sc.name) == "chains" && plan.waves() != kChainLevels) {
-      std::fprintf(stderr, "FAIL: chains planned into %zu levels, not %u\n",
-                   plan.waves(), kChainLevels);
+    if (std::string(sc.name) == "chains" && !one_level_one_shard_per_chain(ev, plan)) {
+      std::fprintf(stderr, "FAIL: chains planned into %zu levels, not one level with "
+                   "one shard per chain\n", plan.waves());
       return 1;
     }
     const std::uint64_t base = makespan(plan, 1);
@@ -431,6 +483,27 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  std::printf("\n---- whole-trace drivers (wall clock, best of 3; NOT in JSON) ----\n");
+  {
+    wl::GeneratorConfig g;
+    g.n_sites = 64;
+    g.n_objects = 512;
+    g.steps = 8000;
+    g.topology = wl::Topology::kRandomGossip;
+    const wl::Trace trace = wl::generate(g);
+    const DriverRun seq = run_driver(trace, nullptr);
+    const DriverRun t1 = run_driver(trace, &pool1);
+    const DriverRun tn = run_driver(trace, &poolN);
+    if (!same_run(seq, t1) || !same_run(seq, tn)) {
+      std::fprintf(stderr, "FAIL: run_state and run_state_parallel disagree\n");
+      return 1;
+    }
+    std::printf("64x512x8000 CRV: run_state %.1f ms, run_state_parallel t1 %.1f ms "
+                "(%.2fx run_state), t%u %.1f ms (%.2fx run_state)\n",
+                seq.seconds * 1e3, t1.seconds * 1e3, t1.seconds / seq.seconds,
+                poolN.threads(), tn.seconds * 1e3, tn.seconds / seq.seconds);
+  }
+
   std::printf("\n---- real concurrency (wall clock; machine-dependent, NOT in JSON) ----\n");
   const std::uint64_t live_writes = smoke() ? 20000 : 200000;
   for (const std::uint32_t readers : {1u, 3u}) {
@@ -445,8 +518,8 @@ int main(int argc, char** argv) {
   std::printf("\n(expected shape: read_mostly speedup approaches min(threads, shards)\n"
               " because senders are only read — optimistic readers never serialize;\n"
               " write_heavy stays at 1x because every session writes one replica and\n"
-              " forms a single sequential shard chain; chains take one level per\n"
-              " link however many objects run side by side. opt_retries and\n"
+              " forms a single sequential shard chain; chains run each in one shard,\n"
+              " all on one level, so they scale like read_mostly. opt_retries and\n"
               " queue_waits are 0 by the level invariant: the plan never schedules\n"
               " a reader against an in-flight writer.)\n\n");
 

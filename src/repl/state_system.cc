@@ -1,6 +1,7 @@
 #include "repl/state_system.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -32,7 +33,7 @@ StateSystem::StateSystem(Config cfg) : cfg_(cfg) {
 
 void StateSystem::create_object(SiteId site, ObjectId obj, std::string entry) {
   OPTREP_CHECK_MSG(!has_replica(site, obj), "object already exists on site");
-  StateReplica& r = sites_[site][obj];
+  StateReplica& r = objects_[obj][site];
   apply_update(r, site, obj, std::move(entry));
 }
 
@@ -51,12 +52,13 @@ SyncOutcome StateSystem::sync(SiteId dst, SiteId src, ObjectId obj) {
     out.action = SyncOutcome::Action::kSkipped;
     return out;
   }
-  StateReplica& sender = sites_[src][obj];
+  auto& hosts = objects_[obj];
+  StateReplica& sender = hosts[src];
   if (sender.conflicted) {
     out.action = SyncOutcome::Action::kSkipped;
     return out;
   }
-  StateReplica& receiver = sites_[dst][obj];  // created empty if absent
+  StateReplica& receiver = hosts[dst];  // created empty if absent
   out = sync_pair(receiver, sender, dst, src, obj, loop_, &metrics_,
                   cfg_.causal, totals_.sessions + 1, nullptr);
   finish_session(out);
@@ -258,12 +260,13 @@ struct Prepared {
   StateReplica* sender{nullptr};  // kSync only
 };
 
-// A replica the batch reads or writes, with its capacity as pinned before
-// the compute phase.
+// A replica the batch reads or writes, with its capacity and lock counters
+// as they stood before the compute phase.
 struct Touched {
   StateReplica* replica{nullptr};
   std::uint64_t vector_bytes{0};
   std::uint64_t index_bytes{0};
+  rt::OLock::Counters olock{};
 };
 
 // Pins the capacity of every replica the batch touches, before any session
@@ -312,6 +315,7 @@ std::vector<Touched> reserve_touched(const std::vector<StateSystem::BatchEvent>&
       v.reserve(bound);
       touched[t].vector_bytes = v.memory_bytes();
       touched[t].index_bytes = v.index_memory_bytes();
+      touched[t].olock = v.olock().counters();
     }
   }
   return touched;
@@ -348,8 +352,8 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
   std::unordered_map<std::uint64_t, std::unordered_set<UpdateId>> shadow;
   std::unordered_map<ObjectId, std::vector<std::uint64_t>> hosts_by_obj;
   if (cfg_.causal != nullptr) {
-    for (const auto& [site, objs] : sites_) {
-      for (const auto& [o, r] : objs) {
+    for (const auto& [o, hosts] : objects_) {
+      for (const auto& [site, r] : hosts) {
         shadow.emplace(key(site, o), r.oracle_history);
         hosts_by_obj[o].push_back(key(site, o));
       }
@@ -369,49 +373,41 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
   };
 
   // Prepare (spec order): validate presence against the evolving map —
-  // sites_ itself tracks which replicas exist "so far" because creations
+  // objects_ itself tracks which replicas exist "so far" because creations
   // happen here, in order — create every receiver replica, resolve replica
-  // addresses (unordered_map never moves values) and derive the wave items.
+  // addresses (map nodes never move) and derive the wave items.
   std::vector<Prepared> prep(events.size());
   std::vector<rt::WaveItem> items;
   items.reserve(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     const BatchEvent& ev = events[i];
+    auto& hosts = objects_[ev.obj];
     switch (ev.type) {
       case BatchEvent::Type::kCreate:
-        OPTREP_CHECK_MSG(!has_replica(ev.site, ev.obj), "object already exists on site");
+        OPTREP_CHECK_MSG(!hosts.contains(ev.site), "object already exists on site");
         break;
       case BatchEvent::Type::kUpdate:
-        OPTREP_CHECK_MSG(has_replica(ev.site, ev.obj),
+        OPTREP_CHECK_MSG(hosts.contains(ev.site),
                          "update without a replica: the driver injects the "
                          "creator sync first (see wl::run_state_parallel)");
         break;
-      case BatchEvent::Type::kSync:
+      case BatchEvent::Type::kSync: {
         OPTREP_CHECK_MSG(ev.site != ev.peer, "a site cannot synchronize with itself");
-        OPTREP_CHECK_MSG(has_replica(ev.peer, ev.obj),
+        const auto sender = hosts.find(ev.peer);
+        OPTREP_CHECK_MSG(sender != hosts.end(),
                          "sync from an absent sender: the driver filters (and "
                          "counts) such skips");
-        prep[i].sender = &sites_[ev.peer][ev.obj];
+        prep[i].sender = &sender->second;
         break;
+      }
     }
-    prep[i].receiver = &sites_[ev.site][ev.obj];  // created empty if absent
+    prep[i].receiver = &hosts[ev.site];  // created empty if absent
     items.push_back({key(ev.site, ev.obj),
                      ev.type == BatchEvent::Type::kSync ? key(ev.peer, ev.obj)
                                                         : std::uint64_t{0}});
   }
 
   const std::vector<Touched> touched = reserve_touched(events, prep);
-  const auto sum_olock = [&touched] {
-    rt::OLock::Counters c;
-    for (const Touched& t : touched) {
-      const rt::OLock::Counters k = t.replica->vector.olock().counters();
-      c.acquisitions += k.acquisitions;
-      c.opt_retries += k.opt_retries;
-      c.queue_waits += k.queue_waits;
-    }
-    return c;
-  };
-  const rt::OLock::Counters olock_before = sum_olock();
 
   // Scratch causal rings are sized for one whole session: ≤ 7 attempts
   // (default retry budget), each bounded by a few wire/apply events per site.
@@ -420,13 +416,15 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
   const std::uint64_t causal_seed =
       cfg_.causal != nullptr ? cfg_.causal->run_seed() : 0;
 
-  struct ComputeResult {
-    SyncOutcome out;
+  // Outcomes land in place in the returned vector; the causal-only state of
+  // each session lives beside it, and only when causal tracing is on.
+  struct CausalSide {
     SessionEffects fx;
     double end_time{0};
     std::unique_ptr<obs::CausalTracer> scratch;
   };
-  std::vector<ComputeResult> results(events.size());
+  std::vector<SyncOutcome> outs(events.size());
+  std::vector<CausalSide> side(cfg_.causal != nullptr ? events.size() : 0);
   const rt::WavePlan plan = rt::plan_waves(items);
   // Per-shard metric registries: a shard's sessions run sequentially, so no
   // locking; merged into metrics_ in shard order after the last wave (counter
@@ -435,7 +433,7 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
 
   const auto compute_one = [&](std::size_t i, std::size_t shard) {
     const BatchEvent& ev = events[i];
-    ComputeResult& res = results[i];
+    CausalSide* cs = side.empty() ? nullptr : &side[i];
     StateReplica& r = *prep[i].receiver;
     if (ev.type != BatchEvent::Type::kSync) {
       rt::OLockGuard g(r.vector.olock());
@@ -445,14 +443,16 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
       r.oracle_vector.increment(ev.site);
       const UpdateId u{ev.site, r.oracle_vector.value(ev.site)};
       r.oracle_history.insert(u);
-      res.fx.has_origin = true;
-      res.fx.origin = u;
+      if (cs != nullptr) {
+        cs->fx.has_origin = true;
+        cs->fx.origin = u;
+      }
       if (cfg_.check_oracle) check_replica(r);
       return;
     }
     StateReplica& sender = *prep[i].sender;
-    if (cfg_.causal != nullptr) {
-      res.scratch = std::make_unique<obs::CausalTracer>(causal_seed, scratch_cap);
+    if (cs != nullptr) {
+      cs->scratch = std::make_unique<obs::CausalTracer>(causal_seed, scratch_cap);
     }
     sim::EventLoop loop;
     // The level plan promises no writer touches the sender while this
@@ -461,15 +461,15 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
     const std::uint64_t snap = sender.vector.olock().read_begin();
     {
       rt::OLockGuard g(r.vector.olock());
-      res.out = sync_pair(r, sender, ev.site, ev.peer, ev.obj, loop,
-                          &shard_metrics[shard], res.scratch.get(),
-                          static_cast<std::uint64_t>(i) + 1, &res.fx,
+      outs[i] = sync_pair(r, sender, ev.site, ev.peer, ev.obj, loop,
+                          &shard_metrics[shard], cs != nullptr ? cs->scratch.get() : nullptr,
+                          static_cast<std::uint64_t>(i) + 1, cs != nullptr ? &cs->fx : nullptr,
                           /*fault_salt=*/batch_items_ + i + 1);
     }
     OPTREP_CHECK_MSG(sender.vector.olock().read_validate(snap),
                      "wave invariant violated: a sender was mutated during a "
                      "parallel session");
-    res.end_time = loop.now();
+    if (cs != nullptr) cs->end_time = loop.now();
   };
 
   // Compute: one pool barrier per level; a level's (shard, items) runs are
@@ -485,12 +485,19 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
   }
   // Every touched replica must still hold the capacity reserve_touched gave
   // it: one that grew was relocated under the level's optimistic readers, so
-  // a bound too tight aborts here in every build.
+  // a bound too tight aborts here in every build. The same pass sums the
+  // batch's lock traffic.
+  rt::OLock::Counters delta;
   for (const Touched& t : touched) {
-    OPTREP_CHECK_MSG(t.replica->vector.memory_bytes() == t.vector_bytes &&
-                         t.replica->vector.index_memory_bytes() == t.index_bytes,
+    const vv::RotatingVector& v = t.replica->vector;
+    OPTREP_CHECK_MSG(v.memory_bytes() == t.vector_bytes &&
+                         v.index_memory_bytes() == t.index_bytes,
                      "run_batch: a replica outgrew its reservation during the "
                      "compute phase");
+    const rt::OLock::Counters c = v.olock().counters();
+    delta.acquisitions += c.acquisitions - t.olock.acquisitions;
+    delta.opt_retries += c.opt_retries - t.olock.opt_retries;
+    delta.queue_waits += c.queue_waits - t.olock.queue_waits;
   }
 
   // Commit in spec order: session accounting, then causal emission against
@@ -499,18 +506,16 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
   // inline.
   for (std::size_t i = 0; i < events.size(); ++i) {
     const BatchEvent& ev = events[i];
-    ComputeResult& res = results[i];
-    if (ev.type == BatchEvent::Type::kSync) finish_session(res.out);
-    if (cfg_.causal == nullptr) continue;
+    if (ev.type == BatchEvent::Type::kSync) finish_session(outs[i]);
+    if (side.empty()) continue;
+    CausalSide& res = side[i];
     ensure_host(ev.site, ev.obj);
     std::uint64_t span = 0;
     if (res.scratch != nullptr) {
       const std::uint64_t offset = cfg_.causal->spans_opened();
       cfg_.causal->absorb(*res.scratch);
       res.scratch.reset();
-      span = res.out.report.causal_span == 0
-                 ? 0
-                 : res.out.report.causal_span + offset;
+      span = outs[i].report.causal_span == 0 ? 0 : outs[i].report.causal_span + offset;
     }
     {
       auto& hist = shadow[key(ev.site, ev.obj)];
@@ -530,11 +535,6 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
   }
 
   for (const obs::Registry& reg : shard_metrics) metrics_.merge_from(reg);
-  const rt::OLock::Counters olock_after = sum_olock();
-  rt::OLock::Counters delta;
-  delta.acquisitions = olock_after.acquisitions - olock_before.acquisitions;
-  delta.opt_retries = olock_after.opt_retries - olock_before.opt_retries;
-  delta.queue_waits = olock_after.queue_waits - olock_before.queue_waits;
   olock_totals_.acquisitions += delta.acquisitions;
   olock_totals_.opt_retries += delta.opt_retries;
   olock_totals_.queue_waits += delta.queue_waits;
@@ -545,28 +545,23 @@ std::vector<SyncOutcome> StateSystem::run_batch(const std::vector<BatchEvent>& e
     stats->max_wave_items = plan.max_wave_items();
     stats->olock = delta;
   }
-
-  std::vector<SyncOutcome> outs(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) outs[i] = std::move(results[i].out);
   return outs;
 }
 
 std::uint64_t StateSystem::divergence() const {
-  // Per-object element-wise supremum over every replica's vector.
-  std::unordered_map<ObjectId, std::unordered_map<SiteId, std::uint64_t>> sup;
-  for (const auto& [site, objs] : sites_) {
-    for (const auto& [obj, r] : objs) {
-      auto& s = sup[obj];
+  std::uint64_t d = 0;
+  std::unordered_map<SiteId, std::uint64_t> sup;
+  for (const auto& [obj, hosts] : objects_) {
+    // The object's element-wise supremum over every replica's vector.
+    sup.clear();
+    for (const auto& [site, r] : hosts) {
       for (const auto& e : r.vector) {
-        auto& v = s[e.site];
+        auto& v = sup[e.site];
         if (e.value > v) v = e.value;
       }
     }
-  }
-  std::uint64_t d = 0;
-  for (const auto& [site, objs] : sites_) {
-    for (const auto& [obj, r] : objs) {
-      for (const auto& [sid, v] : sup.at(obj)) {
+    for (const auto& [site, r] : hosts) {
+      for (const auto& [sid, v] : sup) {
         if (r.vector.value(sid) < v) ++d;
       }
       if (r.conflicted) ++d;
@@ -577,8 +572,8 @@ std::uint64_t StateSystem::divergence() const {
 
 StateSystem::MemoryStats StateSystem::memory_stats() const {
   MemoryStats m;
-  for (const auto& [site, objs] : sites_) {
-    for (const auto& [obj, r] : objs) {
+  for (const auto& [obj, hosts] : objects_) {
+    for (const auto& [site, r] : hosts) {
       ++m.replicas;
       m.vector_bytes += r.vector.memory_bytes();
       m.index_bytes += r.vector.index_memory_bytes();
@@ -635,48 +630,38 @@ void StateSystem::publish_metrics() {
 }
 
 bool StateSystem::has_replica(SiteId site, ObjectId obj) const {
-  auto sit = sites_.find(site);
-  return sit != sites_.end() && sit->second.contains(obj);
+  auto oit = objects_.find(obj);
+  return oit != objects_.end() && oit->second.contains(site);
 }
 
 const StateReplica& StateSystem::replica(SiteId site, ObjectId obj) const {
-  auto sit = sites_.find(site);
-  OPTREP_CHECK_MSG(sit != sites_.end(), "site hosts nothing");
-  auto rit = sit->second.find(obj);
-  OPTREP_CHECK_MSG(rit != sit->second.end(), "no replica of object on site");
+  auto oit = objects_.find(obj);
+  OPTREP_CHECK_MSG(oit != objects_.end(), "object has no replicas");
+  auto rit = oit->second.find(site);
+  OPTREP_CHECK_MSG(rit != oit->second.end(), "no replica of object on site");
   return rit->second;
 }
 
+StateReplica& StateSystem::replica_mut(SiteId site, ObjectId obj) {
+  return const_cast<StateReplica&>(std::as_const(*this).replica(site, obj));
+}
+
 bool StateSystem::replicas_consistent(ObjectId obj) const {
-  const StateReplica* first = nullptr;
-  for (const auto& [site, objs] : sites_) {
-    auto it = objs.find(obj);
-    if (it == objs.end()) continue;
-    if (first == nullptr) {
-      first = &it->second;
-      continue;
-    }
-    if (!(it->second.data == first->data)) return false;
-    if (!it->second.vector.same_values(first->vector)) return false;
-  }
-  return true;
+  auto oit = objects_.find(obj);
+  if (oit == objects_.end() || oit->second.empty()) return true;
+  const StateReplica& first = oit->second.begin()->second;
+  return std::all_of(std::next(oit->second.begin()), oit->second.end(), [&](const auto& host) {
+    return host.second.data == first.data && host.second.vector.same_values(first.vector);
+  });
 }
 
 std::vector<SiteId> StateSystem::hosts_of(ObjectId obj) const {
   std::vector<SiteId> out;
-  for (const auto& [site, objs] : sites_) {
-    if (objs.contains(obj)) out.push_back(site);
-  }
-  std::sort(out.begin(), out.end());
+  auto oit = objects_.find(obj);
+  if (oit == objects_.end()) return out;
+  out.reserve(oit->second.size());
+  for (const auto& [site, r] : oit->second) out.push_back(site);
   return out;
-}
-
-StateReplica& StateSystem::replica_mut(SiteId site, ObjectId obj) {
-  auto sit = sites_.find(site);
-  OPTREP_CHECK_MSG(sit != sites_.end(), "site hosts nothing");
-  auto rit = sit->second.find(obj);
-  OPTREP_CHECK_MSG(rit != sit->second.end(), "no replica of object on site");
-  return rit->second;
 }
 
 void StateSystem::apply_update(StateReplica& r, SiteId site, ObjectId obj,
@@ -715,10 +700,8 @@ void StateSystem::causal_converge_check(ObjectId obj, const UpdateId& u) {
   // update stops diverging. Replica-set growth (a fresh empty replica created
   // by a later sync) re-opens the trace until the newcomer catches up; the
   // analyzer keys on the *last* kConverge of a trace.
-  for (const auto& [site, objs] : sites_) {
-    auto it = objs.find(obj);
-    if (it == objs.end()) continue;
-    if (!it->second.oracle_history.contains(u)) return;
+  for (const auto& [site, r] : objects_.at(obj)) {
+    if (!r.oracle_history.contains(u)) return;
   }
   cfg_.causal->converge(loop_.now(), obj, u.site, u.seq);
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -140,18 +141,22 @@ class StateSystem {
   //
   // run_batch executes a spec-order list of operations with replica-disjoint
   // sessions running concurrently. Each operation declares the replica it
-  // writes (site, obj) and, for syncs, the replica it reads (peer, obj);
-  // rt::plan_waves puts every operation on its earliest dependency level,
-  // each level's sessions run in parallel across a fixed 64-shard partition
-  // of the write keys with one pool barrier per level, and every session's
-  // side effects — totals, causal events, oracle convergence bookkeeping —
-  // are committed sequentially in spec order after the last level. The
-  // level rules guarantee the execution is EXACTLY equivalent to running the
-  // operations one by one (see rt/shard.h), so results are byte-identical
-  // for any thread count. Before the first level, every touched replica of
-  // object o is reserved for the sites of o it can come to hold (the sites
-  // in o's touched replicas plus the batch's write sites of o), so no vector
-  // reallocates under a concurrent optimistic reader.
+  // writes (site, obj) and, for syncs, the replica it reads (peer, obj).
+  // rt::plan_waves gives every operation a shard of a fixed 64-shard
+  // partition and its earliest dependency level: a sync that reads the
+  // replica the previous sync wrote joins that sync's shard and level, so
+  // an anti-entropy host chain runs whole in one shard, and every other
+  // operation is sharded by its write key. Each level's shards run in
+  // parallel, one pool barrier per level, each shard's operations in spec
+  // order; every session's outcome is written in place into the returned
+  // vector, and its side effects — totals, causal events, oracle convergence
+  // bookkeeping — are committed sequentially in spec order after the last
+  // level. The plan guarantees the execution is EXACTLY equivalent to
+  // running the operations one by one (see rt/shard.h), so results are
+  // byte-identical for any thread count. Before the first level, every
+  // touched replica of object o is reserved for the sites of o it can come
+  // to hold (the sites in o's touched replicas plus the batch's write sites
+  // of o), so no vector reallocates under a concurrent optimistic reader.
   //
   // Requirements (checked): automatic resolution (manual mutates the sender,
   // which would break wave read-sharing), and no tracer / flight recorder /
@@ -240,6 +245,7 @@ class StateSystem {
   // Simulated clock shared by all sessions.
   sim::Time now() const { return loop_.now(); }
 
+  // The sites holding a replica of obj, in site order.
   std::vector<SiteId> hosts_of(ObjectId obj) const;
 
   // Residual divergence: distance of the fleet from the converged state.
@@ -283,8 +289,9 @@ class StateSystem {
   // switch, and all receiver-state mutation. Pure over its arguments —
   // `loop`, `metrics` and `causal` are the legacy members for sequential
   // calls and per-session/per-shard instances for parallel ones. With
-  // `fx == nullptr` causal events are emitted inline (legacy); otherwise
-  // they are recorded into *fx for spec-order commit. A nonzero `fault_salt`
+  // `fx == nullptr` causal events are emitted inline to `causal` (legacy;
+  // none when it is null too); otherwise they are recorded into *fx for
+  // spec-order commit. A nonzero `fault_salt`
   // re-seeds the session's fault stream with sim::fault_stream_seed — the
   // batch engine passes the event's position across all its batches so
   // sessions on fresh local event loops stay decorrelated (the sequential
@@ -312,7 +319,11 @@ class StateSystem {
 
   Config cfg_;
   sim::EventLoop loop_;
-  std::unordered_map<SiteId, std::unordered_map<ObjectId, StateReplica>> sites_;
+  // Object-major replica store: each object's replicas keyed by host site.
+  // Map nodes never move, so replica addresses stay valid as replicas are
+  // added (run_batch's prepared pointers and optimistic readers rely on it),
+  // and an object's hosts come out in site order.
+  std::unordered_map<ObjectId, std::map<SiteId, StateReplica>> objects_;
   Totals totals_;
   obs::Registry metrics_;
   std::uint64_t sampled_at_sessions_{~std::uint64_t{0}};

@@ -2,37 +2,51 @@
 //
 // The repl batch engine (repl::StateSystem::run_batch) executes a spec-order
 // list of operations, each declaring one write key (the replica it mutates)
-// and at most one read key (the replica it reads). This header turns that
-// list into a WavePlan:
+// and at most one read key (the replica it reads; syncs have one, updates
+// none). This header turns that list into a WavePlan: every item gets a
+// SHARD and a LEVEL. A level is one pool barrier ("wave"): level l+1 starts
+// only after every shard of level l finished, and within a level each shard
+// runs its items in spec order on one worker.
 //
-//   - every item is assigned a SHARD by a SplitMix64 hash of its WRITE key,
-//     so all writers of the same replica land in the same shard;
-//   - every item is assigned the earliest (ASAP) LEVEL its dependencies
-//     allow. Scanning in spec order, item i's level is the least L with
-//       L >  level of the last earlier writer of i's read key   (read-after-write)
-//       L >  level of every earlier reader of i's write key     (write-after-read)
-//       L >= level of the last earlier writer of i's write key  (write-after-write)
-//     Writers of one key share a shard, so the last rule may put them on the
-//     same level: the shard runs them there in spec order.
+// Item j DEPENDS on an earlier item d when
+//   - d is the last earlier writer of j's read key   (read-after-write),
+//   - d is an earlier reader of j's write key        (write-after-read), or
+//   - d is the last earlier writer of j's write key  (write-after-write).
 //
-// A level is one pool barrier ("wave"): level l+1 starts only after every
-// shard of level l finished, and within a level each shard runs its items in
-// spec order on one worker. That execution is EXACTLY equivalent to running
-// the items one by one in spec order, for any thread count:
-//   - the same level never holds a writer and a reader of one key (rules 1
-//     and 2), so no item reads a replica while another item writes it;
-//   - an item's read key shows precisely the sequential state: every earlier
-//     writer of it sits on a lower level (rule 1, and writer levels never
-//     decrease along spec order by rule 3), and every later writer sits on a
-//     higher level (rule 2 applied to that writer);
-//   - an item's write key is mutated in spec order: earlier writers sit on a
-//     lower level or, on the same level, earlier in the same shard run; every
-//     earlier reader of it finished on a lower level (rule 2).
-// Independent chains therefore overlap: per-object host chains of length h
-// (anti-entropy's forward and back passes) need 2·(h−1) levels in all, not
-// one barrier per link of every chain. Levels are contiguous from 0: an item
-// on level l > 0 depends on an item on level l − 1, directly or through the
-// earlier same-level writers of its key.
+// Shards follow chains. Scanning in spec order, j is a CHAIN LINK when its
+// read key's last writer w is itself a reader (a sync) and j is the first
+// item since w to touch that key: j then joins w's shard. Every other item
+// is sharded by a SplitMix64 hash of its write key.
+//
+// Levels are ASAP: j's level is the least L with L >= level(d) + cost(d)
+// for every dependency d, where cost(d) is 0 if d sits in j's shard and
+// either j is a chain link or d is a write-after-write dependency, and 1
+// otherwise. A shard runs a level's items in spec order, so a dependency
+// inside it needs no barrier; a chain link uses that to run on its
+// predecessor's level. Other items pay a level for any read dependency
+// even inside their shard: only a hash collision put them there, and
+// joining the dependency's level would lengthen that shard's run without
+// the locality a chain gains. A batch with no chain links (no sync reads a
+// replica a sync of the batch wrote) therefore plans as pure write-key
+// sharding with strict read dependencies.
+//
+// That execution is EXACTLY equivalent to running the items one by one in
+// spec order, for any thread count. cost(d) >= [shard(d) != shard(j)], so
+// levels never decrease along a dependency and rise across shards. Two
+// items on one level joined by a path of dependencies therefore have the
+// whole path on that level and in one shard, which runs it in spec order;
+// items on one level in different shards are joined by no path, so no item
+// reads or writes a replica that another shard's item of that level writes.
+// Every pair of items that touch one key, at least one of them writing it,
+// is joined by such a path (through the key's chain of last writers), so
+// every conflicting pair runs in spec order.
+//
+// Anti-entropy's per-object host chains (a forward pass along the host list
+// and a back pass, each session reading the previous receiver) thus run
+// whole in their first link's shard on one level, beside every other
+// object's chain. Levels are contiguous from 0: an item on level l > 0 has
+// a dependency on level l − 1, or one on level l in its own shard whose
+// dependencies lead down the same way.
 // The shard count is fixed (kDefaultShards), NOT derived from the thread
 // count, so the plan — and with it the execution order within every shard —
 // is identical for --threads=1..N; only which worker runs a shard varies.
@@ -40,8 +54,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -63,7 +77,7 @@ inline std::uint32_t shard_of(std::uint64_t write_key, std::uint32_t n_shards) {
 }
 
 struct WaveItem {
-  std::uint64_t write_key{0};  // replica this item mutates (required)
+  std::uint64_t write_key{0};  // replica this item mutates (required, nonzero)
   std::uint64_t read_key{0};   // replica it reads, or 0 for none
 };
 
@@ -82,6 +96,7 @@ struct WavePlan {
 
   std::uint32_t n_shards{kDefaultShards};
   std::vector<std::uint32_t> level;      // level[i]: the wave item i runs in
+  std::vector<std::uint32_t> shard;      // shard[i]: the shard item i runs in
   std::vector<std::uint32_t> order;      // item indexes by (level, shard, spec index)
   std::vector<Run> runs;                 // nonempty (level, shard) groups, in order
   std::vector<std::uint32_t> wave_runs;  // wave w: runs[wave_runs[w], wave_runs[w + 1])
@@ -99,7 +114,7 @@ struct WavePlan {
   }
 };
 
-// ASAP level assignment (see the file comment for the rules and the
+// Shard and level assignment (see the file comment for the rules and the
 // equivalence argument), then a stable two-pass counting sort of the item
 // indexes by (level, shard).
 inline WavePlan plan_waves(const std::vector<WaveItem>& items,
@@ -109,27 +124,60 @@ inline WavePlan plan_waves(const std::vector<WaveItem>& items,
   const auto n = static_cast<std::uint32_t>(items.size());
   if (n == 0) return plan;
 
-  // Per key: 1 + the level of its last writer, and 1 + the highest level of
-  // any reader so far (0 = none yet).
+  // Per key: its last writer's level + 1 (0 = none yet) and shard, whether
+  // that writer was a sync no item has touched the key after (the next
+  // reader is its chain link), and the highest level any reader of it sat on
+  // + 1 with the shard of that level's readers (kMixed when they span shards).
+  constexpr std::uint32_t kMixed = ~std::uint32_t{0};
   struct KeyState {
     std::uint32_t write_end{0};
+    std::uint32_t write_shard{0};
+    bool linkable{false};
     std::uint32_t read_end{0};
+    std::uint32_t read_shard{kMixed};
   };
-  std::unordered_map<std::uint64_t, KeyState> keys;
-  keys.reserve(2 * std::size_t{n});
+  // Open-addressed over the nonzero keys, at most two per item, so 4n
+  // slots keep the table at most half full.
+  std::vector<std::uint64_t> slot_keys(std::bit_ceil(std::size_t{4} * n), 0);
+  std::vector<KeyState> slot_states(slot_keys.size());
+  const auto state_of = [&, mask = slot_keys.size() - 1](std::uint64_t key) -> KeyState& {
+    std::size_t i = mix64(key) & mask;
+    while (slot_keys[i] != 0 && slot_keys[i] != key) i = (i + 1) & mask;
+    slot_keys[i] = key;
+    return slot_states[i];
+  };
   plan.level.resize(n);
-  std::vector<std::uint32_t> shard(n);
+  plan.shard.resize(n);
   std::uint32_t n_levels = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     const WaveItem& it = items[i];
-    KeyState* read = it.read_key != 0 ? &keys[it.read_key] : nullptr;
-    KeyState& write = keys[it.write_key];
-    std::uint32_t l = std::max(write.read_end, write.write_end == 0 ? 0 : write.write_end - 1);
-    if (read != nullptr) l = std::max(l, read->write_end);
+    OPTREP_CHECK_MSG(it.write_key != 0, "plan_waves: an item without a write key");
+    KeyState* read = it.read_key != 0 ? &state_of(it.read_key) : nullptr;
+    KeyState& write = state_of(it.write_key);
+    const bool link = read != nullptr && read->linkable;
+    const std::uint32_t s = link ? read->write_shard : shard_of(it.write_key, n_shards);
+    // Least level after a dependency that ends at `end` (its level + 1) in
+    // shard `from`; `free` when sharing the shard costs no level.
+    const auto after = [s](std::uint32_t end, std::uint32_t from, bool free) {
+      return end == 0 ? 0 : end - 1 + (from == s && free ? 0 : 1);
+    };
+    std::uint32_t l = std::max(after(write.write_end, write.write_shard, true),
+                               after(write.read_end, write.read_shard, link));
+    if (read != nullptr) {
+      l = std::max(l, after(read->write_end, read->write_shard, link));
+      read->linkable = false;
+      if (l + 1 > read->read_end) {
+        read->read_end = l + 1;
+        read->read_shard = s;
+      } else if (l + 1 == read->read_end && read->read_shard != s) {
+        read->read_shard = kMixed;
+      }
+    }
     write.write_end = l + 1;
-    if (read != nullptr) read->read_end = std::max(read->read_end, l + 1);
+    write.write_shard = s;
+    write.linkable = read != nullptr;
     plan.level[i] = l;
-    shard[i] = shard_of(it.write_key, n_shards);
+    plan.shard[i] = s;
     n_levels = std::max(n_levels, l + 1);
   }
 
@@ -146,15 +194,15 @@ inline WavePlan plan_waves(const std::vector<WaveItem>& items,
   };
   std::vector<std::uint32_t> spec(n);
   for (std::uint32_t i = 0; i < n; ++i) spec[i] = i;
-  plan.order = counting_sort(counting_sort(spec, shard, n_shards), plan.level, n_levels);
+  plan.order = counting_sort(counting_sort(spec, plan.shard, n_shards), plan.level, n_levels);
 
   plan.wave_runs.reserve(n_levels + 1);
   for (std::uint32_t p = 0; p < n; ++p) {
     const std::uint32_t i = plan.order[p];
     const bool new_level = p == 0 || plan.level[i] != plan.level[plan.order[p - 1]];
     if (new_level) plan.wave_runs.push_back(static_cast<std::uint32_t>(plan.runs.size()));
-    if (new_level || shard[i] != plan.runs.back().shard) {
-      plan.runs.push_back({shard[i], p, p});
+    if (new_level || plan.shard[i] != plan.runs.back().shard) {
+      plan.runs.push_back({plan.shard[i], p, p});
     }
     ++plan.runs.back().end;
   }

@@ -1,9 +1,9 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/prof.h"
+#include "rt/shard.h"
 
 namespace optrep::wl {
 
@@ -144,6 +144,55 @@ bool ensure_replica(System& sys, RunStats& stats, SiteId site, ObjectId obj,
   return false;
 }
 
+// A set of (site, object) replicas, open-addressed over one flat array of
+// nonzero keys (0 marks an empty slot) kept at most half full. The batch
+// driver probes it once or twice per trace event; std::unordered_set's heap
+// node per key made building the trace batch cost three times as much.
+class ReplicaSet {
+ public:
+  bool contains(SiteId s, ObjectId o) const {
+    return !slots_.empty() && slots_[find(key(s, o))] != 0;
+  }
+  void insert(SiteId s, ObjectId o) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::uint64_t k = key(s, o);
+    std::uint64_t& slot = slots_[find(k)];
+    if (slot == 0) ++size_;
+    slot = k;
+  }
+
+ private:
+  static std::uint64_t key(SiteId s, ObjectId o) {
+    return (std::uint64_t{1} << 63) | (std::uint64_t{s.value} << 32) | o.value;
+  }
+  // The slot holding `k`, or the empty slot ending its probe run.
+  std::size_t find(std::uint64_t k) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = rt::mix64(k) & mask;
+    while (slots_[i] != 0 && slots_[i] != k) i = (i + 1) & mask;
+    return i;
+  }
+  void grow() {
+    std::vector<std::uint64_t> old(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+    old.swap(slots_);
+    for (const std::uint64_t k : old) {
+      if (k != 0) slots_[find(k)] = k;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_{0};
+};
+
+// Every object consistent across its hosts: the full pass a driver falls
+// back on when no anti-entropy round checked the fleet.
+bool all_replicas_consistent(const repl::StateSystem& sys, std::uint32_t n_objects) {
+  for (std::uint32_t o = 0; o < n_objects; ++o) {
+    if (!sys.replicas_consistent(ObjectId{o})) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 RunStats run_state(repl::StateSystem& sys, const Trace& trace, bool drive_to_consistency) {
@@ -205,12 +254,13 @@ RunStats run_state(repl::StateSystem& sys, const Trace& trace, bool drive_to_con
         if (!sys.replicas_consistent(obj)) all_consistent = false;
       }
       stats.anti_entropy_rounds = round + 1;
+      // The round checked every object after its last session touched it.
+      stats.eventually_consistent = all_consistent;
       if (all_consistent) break;
     }
   }
-  stats.eventually_consistent = true;
-  for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-    if (!sys.replicas_consistent(ObjectId{o})) stats.eventually_consistent = false;
+  if (stats.anti_entropy_rounds == 0) {
+    stats.eventually_consistent = all_replicas_consistent(sys, trace.n_objects);
   }
   return stats;
 }
@@ -222,7 +272,8 @@ RunStats run_state_parallel(repl::StateSystem& sys, const Trace& trace,
   using BE = repl::StateSystem::BatchEvent;
   RunStats stats;
 
-  const auto run = [&](std::vector<BE>&& batch) {
+  // Takes the batch by value: its events are freed as soon as it ran.
+  const auto run = [&](std::vector<BE> batch) {
     std::vector<repl::SyncOutcome> outs;
     if (batch.empty()) return outs;
     repl::StateSystem::BatchStats bs;
@@ -243,12 +294,9 @@ RunStats run_state_parallel(repl::StateSystem& sys, const Trace& trace,
   // so the same decisions are replayed here against a presence set — a
   // replica exists after its create, or after any sync that targeted it
   // (even a failed pull creates the empty receiver replica).
-  const auto pk = [](SiteId s, ObjectId o) {
-    return (std::uint64_t{s.value} << 32) | std::uint64_t{o.value};
-  };
-  std::unordered_set<std::uint64_t> present;
+  ReplicaSet present;
   for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-    for (const SiteId s : sys.hosts_of(ObjectId{o})) present.insert(pk(s, ObjectId{o}));
+    for (const SiteId s : sys.hosts_of(ObjectId{o})) present.insert(s, ObjectId{o});
   }
 
   std::vector<SiteId> creators(trace.n_objects, SiteId{});
@@ -264,18 +312,18 @@ RunStats run_state_parallel(repl::StateSystem& sys, const Trace& trace,
         creators[e.obj.value] = e.site;
         ev.push_back({BE::Type::kCreate, e.site, SiteId{}, e.obj,
                       "entry-" + std::to_string(entry_no++)});
-        present.insert(pk(e.site, e.obj));
+        present.insert(e.site, e.obj);
         ++stats.updates;
         break;
       case Event::Type::kUpdate: {
-        if (!present.contains(pk(e.site, e.obj))) {
+        if (!present.contains(e.site, e.obj)) {
           const SiteId host = creators[e.obj.value];
-          if (host == e.site || !present.contains(pk(host, e.obj))) {
+          if (host == e.site || !present.contains(host, e.obj)) {
             ++stats.skipped;
             break;
           }
           ev.push_back({BE::Type::kSync, e.site, host, e.obj, {}});
-          present.insert(pk(e.site, e.obj));
+          present.insert(e.site, e.obj);
           ++stats.syncs;
         }
         ev.push_back({BE::Type::kUpdate, e.site, SiteId{}, e.obj,
@@ -284,36 +332,43 @@ RunStats run_state_parallel(repl::StateSystem& sys, const Trace& trace,
         break;
       }
       case Event::Type::kSync:
-        if (!present.contains(pk(e.peer, e.obj))) {
+        if (!present.contains(e.peer, e.obj)) {
           ++stats.skipped;
           break;
         }
         ev.push_back({BE::Type::kSync, e.site, e.peer, e.obj, {}});
         conflict_slots.push_back(ev.size() - 1);
-        present.insert(pk(e.site, e.obj));
+        present.insert(e.site, e.obj);
         ++stats.syncs;
         break;
     }
   }
-  const std::vector<repl::SyncOutcome> outs = run(std::move(ev));
-  for (const std::size_t i : conflict_slots) {
-    if (outs[i].relation == vv::Ordering::kConcurrent) ++stats.conflicts;
+  {
+    // Freed before the anti-entropy rounds allocate theirs.
+    const std::vector<repl::SyncOutcome> outs = run(std::move(ev));
+    for (const std::size_t i : conflict_slots) {
+      if (outs[i].relation == vv::Ordering::kConcurrent) ++stats.conflicts;
+    }
   }
 
   if (drive_to_consistency &&
       sys.config().policy == repl::ResolutionPolicy::kAutomatic) {
     // Anti-entropy sweeps, one batch per round. Each object's forward and
-    // back passes chain (every session reads the previous receiver), but the
-    // chains of different objects are independent: the planner runs link k
-    // of each chain on level k, so a round takes 2·(h−1) levels for the
-    // longest host list h (see rt/shard.h).
+    // back passes chain (every session reads the previous receiver), and
+    // the planner runs each chain whole in one shard: a round is one level,
+    // the chains of different objects running side by side (see
+    // rt/shard.h). Syncs between hosts create no replica, so the round's
+    // host lists still hold for its consistency check.
+    std::vector<ObjectId> replicated;  // objects with two hosts or more
     for (std::uint32_t round = 0; round < 4 * trace.n_sites + 8; ++round) {
       OPTREP_SPAN("wl.anti_entropy");
       std::vector<BE> round_ev;
+      replicated.clear();
       for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
         const ObjectId obj{o};
         const auto hosts = sys.hosts_of(obj);
         if (hosts.size() < 2) continue;
+        replicated.push_back(obj);
         for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
           round_ev.push_back({BE::Type::kSync, hosts[i + 1], hosts[i], obj, {}});
         }
@@ -323,19 +378,15 @@ RunStats run_state_parallel(repl::StateSystem& sys, const Trace& trace,
       }
       stats.syncs += round_ev.size();
       run(std::move(round_ev));
-      bool all_consistent = true;
-      for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-        const ObjectId obj{o};
-        if (sys.hosts_of(obj).size() < 2) continue;
-        if (!sys.replicas_consistent(obj)) all_consistent = false;
-      }
+      stats.eventually_consistent =
+          std::all_of(replicated.begin(), replicated.end(),
+                      [&sys](ObjectId obj) { return sys.replicas_consistent(obj); });
       stats.anti_entropy_rounds = round + 1;
-      if (all_consistent) break;
+      if (stats.eventually_consistent) break;
     }
   }
-  stats.eventually_consistent = true;
-  for (std::uint32_t o = 0; o < trace.n_objects; ++o) {
-    if (!sys.replicas_consistent(ObjectId{o})) stats.eventually_consistent = false;
+  if (stats.anti_entropy_rounds == 0) {
+    stats.eventually_consistent = all_replicas_consistent(sys, trace.n_objects);
   }
   return stats;
 }

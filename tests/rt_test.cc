@@ -2,13 +2,17 @@
 // once for any thread count, parallel_sweep returns results in config order,
 // task_seed splitting is schedule-independent, observability shards merge
 // into the same registry a serial run would have produced, and the level
-// planner (rt/shard.h) is safe, order-preserving and ASAP.
+// planner (rt/shard.h) follows chains, is safe, order-preserving and ASAP
+// under its rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -229,6 +233,7 @@ std::vector<WaveItem> random_items(std::uint64_t seed, std::uint32_t n, std::uin
 // in spec order, and the waves are the levels 0..max, each nonempty.
 void expect_well_formed(const std::vector<WaveItem>& items, const WavePlan& plan) {
   ASSERT_EQ(plan.level.size(), items.size());
+  ASSERT_EQ(plan.shard.size(), items.size());
   std::vector<std::uint32_t> sorted = plan.order;
   std::sort(sorted.begin(), sorted.end());
   for (std::uint32_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(sorted[i], i);
@@ -243,11 +248,12 @@ void expect_well_formed(const std::vector<WaveItem>& items, const WavePlan& plan
       const WavePlan::Run& run = plan.runs[r];
       ASSERT_EQ(run.begin, pos);
       ASSERT_LT(run.begin, run.end);
+      ASSERT_LT(run.shard, plan.n_shards);
       EXPECT_TRUE(shards.insert(run.shard).second) << "shard split within a level";
       for (std::uint32_t p = run.begin; p < run.end; ++p) {
         const std::uint32_t i = plan.order[p];
         EXPECT_EQ(plan.level[i], w);
-        EXPECT_EQ(shard_of(items[i].write_key, plan.n_shards), run.shard);
+        EXPECT_EQ(plan.shard[i], run.shard);
         if (p > run.begin) {
           EXPECT_LT(plan.order[p - 1], i) << "run not in spec order";
         }
@@ -260,6 +266,43 @@ void expect_well_formed(const std::vector<WaveItem>& items, const WavePlan& plan
   EXPECT_EQ(plan.max_wave_items(), max_items);
 }
 
+// The planner's rules, restated by brute force over the whole prefix: item i
+// is a chain link when the last earlier writer w of its read key itself
+// reads and no item between w and i touches that key; a link takes w's
+// shard, any other item its write key's hash. Its level is the least one at
+// or above level(d) + cost(d) for every dependency d, where cost(d) is 0 when
+// d shares i's shard and either i is a link or d writes i's write key.
+void expect_rules(const std::vector<WaveItem>& items, const WavePlan& plan,
+                  const std::string& what) {
+  for (std::uint32_t i = 0; i < items.size(); ++i) {
+    const WaveItem& it = items[i];
+    std::optional<std::uint32_t> raw, waw;  // last earlier writer of each key
+    for (std::uint32_t d = 0; d < i; ++d) {
+      if (it.read_key != 0 && items[d].write_key == it.read_key) raw = d;
+      if (items[d].write_key == it.write_key) waw = d;
+    }
+    bool link = raw.has_value() && items[*raw].read_key != 0;
+    for (std::uint32_t d = raw.value_or(i) + 1; link && d < i; ++d) {
+      link = items[d].read_key != it.read_key && items[d].write_key != it.read_key;
+    }
+    const std::uint32_t shard = link ? plan.shard[*raw] : shard_of(it.write_key, plan.n_shards);
+    ASSERT_EQ(plan.shard[i], shard) << what << " item " << i << (link ? " (link)" : "");
+
+    const auto cost = [&](std::uint32_t d, bool write_after_write) {
+      return plan.shard[d] == shard && (link || write_after_write) ? 0u : 1u;
+    };
+    std::uint32_t least = 0;
+    if (raw) least = std::max(least, plan.level[*raw] + cost(*raw, false));
+    if (waw) least = std::max(least, plan.level[*waw] + cost(*waw, true));
+    for (std::uint32_t d = 0; d < i; ++d) {
+      if (items[d].read_key != 0 && items[d].read_key == it.write_key) {
+        least = std::max(least, plan.level[d] + cost(d, false));
+      }
+    }
+    ASSERT_EQ(plan.level[i], least) << what << " item " << i;
+  }
+}
+
 TEST(PlanWaves, RandomSpecsAreSafeOrderedAndAsap) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
     const std::uint32_t n_keys = seed % 2 == 0 ? 6 : 40;
@@ -267,15 +310,20 @@ TEST(PlanWaves, RandomSpecsAreSafeOrderedAndAsap) {
     const WavePlan plan = plan_waves(items, seed % 3 == 0 ? 4 : WavePlan::kDefaultShards);
     expect_well_formed(items, plan);
 
-    // No level holds both a writer and a reader of one key.
-    std::vector<std::unordered_set<std::uint64_t>> writes(plan.waves()), reads(plan.waves());
+    // No level holds a writer and a reader of one key in different shards,
+    // nor two writers of one key in different shards.
+    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> writer_shard(plan.waves());
     for (std::uint32_t i = 0; i < items.size(); ++i) {
-      writes[plan.level[i]].insert(items[i].write_key);
-      if (items[i].read_key != 0) reads[plan.level[i]].insert(items[i].read_key);
+      auto [it, fresh] = writer_shard[plan.level[i]].try_emplace(items[i].write_key, plan.shard[i]);
+      EXPECT_EQ(it->second, plan.shard[i]) << "seed " << seed << ": writers split across shards";
     }
-    for (std::size_t w = 0; w < plan.waves(); ++w) {
-      for (const std::uint64_t k : reads[w]) {
-        EXPECT_FALSE(writes[w].contains(k)) << "seed " << seed << " level " << w << " key " << k;
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      if (items[i].read_key == 0) continue;
+      const auto& writers = writer_shard[plan.level[i]];
+      const auto it = writers.find(items[i].read_key);
+      if (it != writers.end()) {
+        EXPECT_EQ(it->second, plan.shard[i])
+            << "seed " << seed << " level " << plan.level[i] << " key " << items[i].read_key;
       }
     }
 
@@ -289,19 +337,33 @@ TEST(PlanWaves, RandomSpecsAreSafeOrderedAndAsap) {
       it->second = i;
     }
 
-    // ASAP: each item sits on the least level its earlier dependencies allow.
-    for (std::uint32_t i = 0; i < items.size(); ++i) {
-      std::uint32_t least = 0;
-      for (std::uint32_t j = 0; j < i; ++j) {
-        if (items[j].write_key == items[i].read_key ||
-            (items[j].read_key != 0 && items[j].read_key == items[i].write_key)) {
-          least = std::max(least, plan.level[j] + 1);
-        }
-        if (items[j].write_key == items[i].write_key) least = std::max(least, plan.level[j]);
+    // Shards follow chains and each item sits on the least level the rule
+    // allows.
+    expect_rules(items, plan, "seed " + std::to_string(seed));
+  }
+}
+
+// Runs `items` level by level — runs of one level in the order `run_order`
+// gives them, each run in spec order — and returns every key's final value.
+std::unordered_map<std::uint64_t, std::uint64_t> execute_levels(
+    const std::vector<WaveItem>& items, const WavePlan& plan,
+    const std::function<void(std::vector<std::uint32_t>&)>& run_order) {
+  std::unordered_map<std::uint64_t, std::uint64_t> state;
+  for (std::size_t w = 0; w < plan.waves(); ++w) {
+    std::vector<std::uint32_t> runs;
+    for (std::uint32_t r = plan.wave_runs[w]; r < plan.wave_runs[w + 1]; ++r) runs.push_back(r);
+    run_order(runs);
+    for (const std::uint32_t r : runs) {
+      for (std::uint32_t p = plan.runs[r].begin; p < plan.runs[r].end; ++p) {
+        const std::uint32_t i = plan.order[p];
+        const WaveItem& it = items[i];
+        const std::uint64_t read = it.read_key != 0 ? state[it.read_key] : 0;
+        std::uint64_t& v = state[it.write_key];
+        v = mix64(v * 31 + read * 7 + i);
       }
-      EXPECT_EQ(plan.level[i], least) << "seed " << seed << " item " << i;
     }
   }
+  return state;
 }
 
 // Executing level by level — runs of one level in an arbitrary order, each
@@ -327,17 +389,42 @@ TEST(PlanWaves, LevelExecutionMatchesSpecOrder) {
   EXPECT_EQ(seq, lev);
 }
 
+// The same equivalence over several seeds and key densities, a narrow and
+// the default shard fan-out, and a shuffled run order on every level.
+TEST(PlanWaves, ShuffledLevelExecutionMatchesSpecOrderAcrossSeedsAndShards) {
+  for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL, 14ULL, 15ULL, 16ULL}) {
+    const std::vector<WaveItem> items = random_items(seed, 600, seed % 2 == 0 ? 8 : 48);
+    std::unordered_map<std::uint64_t, std::uint64_t> seq;
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      const std::uint64_t read = items[i].read_key != 0 ? seq[items[i].read_key] : 0;
+      std::uint64_t& v = seq[items[i].write_key];
+      v = mix64(v * 31 + read * 7 + i);
+    }
+    for (const std::uint32_t n_shards : {4u, 64u}) {
+      const WavePlan plan = plan_waves(items, n_shards);
+      expect_well_formed(items, plan);
+      Rng rng(seed * 131 + n_shards);
+      const auto shuffle = [&rng](std::vector<std::uint32_t>& runs) {
+        for (std::size_t k = runs.size(); k > 1; --k) std::swap(runs[k - 1], runs[rng.below(k)]);
+      };
+      EXPECT_EQ(execute_levels(items, plan, shuffle), seq)
+          << "seed " << seed << ", " << n_shards << " shards";
+    }
+  }
+}
+
 // The anti-entropy drive's shape: per object, a forward pass along its host
-// list and a back pass, each session reading the previous receiver. A host
-// list of length h needs 2·(h−1) levels, however many objects run beside it.
-TEST(PlanWaves, HostChainsPlanIntoTwiceTheirLength) {
+// list and a back pass, each session reading the previous receiver. Every
+// object's chain follows its first link's shard, so all of them run side by
+// side on one level, whatever their length.
+TEST(PlanWaves, HostChainsRunInOneShardOnOneLevel) {
   const auto key = [](std::uint32_t site, std::uint32_t obj) {
     return (std::uint64_t{1} << 63) | (std::uint64_t{site} << 32) | obj;
   };
   for (const std::uint32_t h : {2u, 3u, 8u, 17u}) {
     std::vector<WaveItem> items;
+    std::vector<std::uint32_t> chain_of;
     for (std::uint32_t o = 0; o < 200; ++o) {
-      // Shorter lists beside the longest one must not add levels.
       const std::uint32_t len = o % 4 == 0 ? h : 2 + o % std::max(1u, h - 1);
       for (std::uint32_t k = 0; k + 1 < len; ++k) {
         items.push_back({key((o + k + 1) % 64, o), key((o + k) % 64, o)});
@@ -345,10 +432,58 @@ TEST(PlanWaves, HostChainsPlanIntoTwiceTheirLength) {
       for (std::uint32_t k = len - 1; k > 0; --k) {
         items.push_back({key((o + k - 1) % 64, o), key((o + k) % 64, o)});
       }
+      chain_of.resize(items.size(), o);
     }
     const WavePlan plan = plan_waves(items);
     expect_well_formed(items, plan);
-    EXPECT_EQ(plan.waves(), 2u * (h - 1)) << "host lists of length " << h;
+    expect_rules(items, plan, "host lists of length " + std::to_string(h));
+    EXPECT_EQ(plan.waves(), 1u) << "host lists of length " << h;
+    for (std::uint32_t i = 1; i < items.size(); ++i) {
+      if (chain_of[i] != chain_of[i - 1]) {
+        // A chain starts in its first link's write-key shard.
+        EXPECT_EQ(plan.shard[i], shard_of(items[i].write_key, plan.n_shards));
+      } else {
+        EXPECT_EQ(plan.shard[i], plan.shard[i - 1]) << "chain " << chain_of[i] << " split";
+      }
+    }
+  }
+}
+
+// Read-mostly: syncs pull from senders the batch never writes, beside
+// updates of other replicas. No sync reads a replica a sync wrote, so there
+// are no chain links: every item is sharded by its write key, and every
+// read dependency costs a level as before chains were followed.
+TEST(PlanWaves, ReadMostlySpecShardsByWriteKey) {
+  Rng rng(7);
+  std::vector<WaveItem> items;
+  for (std::uint32_t i = 0; i < 800; ++i) {
+    if (rng.chance(0.1)) {
+      items.push_back({1000 + rng.below(8), 0});  // an update
+    } else {
+      items.push_back({100 + rng.below(200), 1 + rng.below(4)});  // a pull from a hot sender
+    }
+  }
+  // Some pulls read updated replicas (updates write no sender chain).
+  for (std::uint32_t i = 0; i < items.size(); i += 9) {
+    if (items[i].read_key != 0) items[i].read_key = 1000 + rng.below(8);
+  }
+  for (const std::uint32_t n_shards : {4u, 64u}) {
+    const WavePlan plan = plan_waves(items, n_shards);
+    expect_well_formed(items, plan);
+    expect_rules(items, plan, std::to_string(n_shards) + " shards");
+    for (std::uint32_t i = 0; i < items.size(); ++i) {
+      ASSERT_EQ(plan.shard[i], shard_of(items[i].write_key, n_shards)) << "item " << i;
+      // Levels of pure write-key sharding: reads always cost a level.
+      std::uint32_t least = 0;
+      for (std::uint32_t d = 0; d < i; ++d) {
+        if (items[d].write_key == items[i].read_key ||
+            (items[d].read_key != 0 && items[d].read_key == items[i].write_key)) {
+          least = std::max(least, plan.level[d] + 1);
+        }
+        if (items[d].write_key == items[i].write_key) least = std::max(least, plan.level[d]);
+      }
+      ASSERT_EQ(plan.level[i], least) << "item " << i;
+    }
   }
 }
 
